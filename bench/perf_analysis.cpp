@@ -17,7 +17,6 @@
 #include "src/analysis/staleness.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/registry.h"
-#include "src/store/fingerprint_set.h"
 #include "src/store/interner.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/simulator.h"
@@ -110,35 +109,17 @@ void BM_MdsSmacofParallel(benchmark::State& state) {
 BENCHMARK(BM_MdsSmacofParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
-// --- Interning engine benchmarks (BENCH_intern.json) -----------------------
+// --- Interned set-algebra engine --------------------------------------------
 //
-// The paper-scenario Figure 1 matrix (2011-2021 window, 40
-// snapshots/provider) pairwise-compared with the legacy sorted-merge
-// engine vs the dense-ID popcount engine.  Both produce bit-identical
-// matrices (intern_equivalence_tests); only the wall clock moves.
-// tools/record_intern_bench.sh captures this sweep.
+// The paper-scenario Figure 1 matrix (2011-2021 window), the isolated pair
+// loop, and the staleness/diff series on the dense-ID popcount engine.
+// intern_equivalence_tests pins their results to the sorted-merge referee.
 
 const rs::store::CertInterner& shared_interner() {
   static const rs::store::CertInterner interner =
       rs::store::CertInterner::from_database(shared_scenario().database());
   return interner;
 }
-
-void BM_JaccardMatrixMerge(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  rs::analysis::JaccardOptions opts;
-  opts.min_date = rs::util::Date::ymd(2011, 1, 1);
-  opts.max_per_provider = static_cast<std::size_t>(state.range(0));
-  opts.algebra = rs::analysis::SetAlgebra::kSortedMerge;
-  for (auto _ : state) {
-    auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
-    benchmark::DoNotOptimize(dist.values.data());
-    state.counters["snapshots"] = static_cast<double>(dist.size());
-  }
-  state.SetLabel("sorted-merge");
-}
-BENCHMARK(BM_JaccardMatrixMerge)->Arg(25)->Arg(40)->Arg(80)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_JaccardMatrixInterned(benchmark::State& state) {
   const auto& scenario = shared_scenario();
@@ -152,7 +133,6 @@ void BM_JaccardMatrixInterned(benchmark::State& state) {
     benchmark::DoNotOptimize(dist.values.data());
     state.counters["snapshots"] = static_cast<double>(dist.size());
   }
-  state.SetLabel("interned");
 }
 BENCHMARK(BM_JaccardMatrixInterned)->Arg(25)->Arg(40)->Arg(80)
     ->Unit(benchmark::kMillisecond);
@@ -168,10 +148,8 @@ void BM_InternerBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_InternerBuild)->Unit(benchmark::kMillisecond);
 
-// The isolated pair loop: one row of Jaccard distances between cached
-// sets, with no snapshot materialization in the timed region.  This is the
-// per-element cost the interning converts from a 32-byte merge to a
-// popcount.
+// The isolated pair loop: every pair of cached interned sets, with no
+// snapshot materialization in the timed region.
 void BM_JaccardPairLoop(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   rs::analysis::JaccardOptions opts;
@@ -179,39 +157,30 @@ void BM_JaccardPairLoop(benchmark::State& state) {
   opts.max_per_provider = 40;
   // Reuse matrix selection to fetch the snapshot list deterministically.
   const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
-  std::vector<rs::store::FingerprintSet> sets;
   std::vector<rs::store::InternedSet> interned;
   for (const auto& label : dist.labels) {
     const auto& snap =
         scenario.database().find(label.provider)->snapshots()[label.provider_index];
-    sets.push_back(snap.all_fingerprints());
-    interned.push_back(shared_interner().intern(sets.back()));
+    interned.push_back(shared_interner().intern(snap.all_fingerprints()));
   }
-  const bool use_interned = state.range(0) == 1;
   for (auto _ : state) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      for (std::size_t j = i + 1; j < sets.size(); ++j) {
-        sum += use_interned
-                   ? rs::store::jaccard_distance(interned[i], interned[j])
-                   : sets[i].jaccard_distance(sets[j]);
+    for (std::size_t i = 0; i < interned.size(); ++i) {
+      for (std::size_t j = i + 1; j < interned.size(); ++j) {
+        sum += rs::store::jaccard_distance(interned[i], interned[j]);
       }
     }
     benchmark::DoNotOptimize(sum);
   }
   state.counters["pairs"] =
-      static_cast<double>(sets.size() * (sets.size() - 1) / 2);
-  state.SetLabel(use_interned ? "interned" : "sorted-merge");
+      static_cast<double>(interned.size() * (interned.size() - 1) / 2);
 }
-BENCHMARK(BM_JaccardPairLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JaccardPairLoop)->Unit(benchmark::kMillisecond);
 
 void BM_StalenessEngines(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto* nss = scenario.database().find("NSS");
-  const bool use_interned = state.range(0) == 1;
-  const auto index = use_interned
-                         ? rs::analysis::build_version_index(*nss)
-                         : rs::analysis::build_version_index_merge(*nss);
+  const auto index = rs::analysis::build_version_index(*nss);
   for (auto _ : state) {
     double total = 0;
     for (const char* name :
@@ -222,17 +191,13 @@ void BM_StalenessEngines(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(total);
   }
-  state.SetLabel(use_interned ? "interned" : "sorted-merge");
 }
-BENCHMARK(BM_StalenessEngines)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StalenessEngines)->Unit(benchmark::kMillisecond);
 
 void BM_DiffSeriesEngines(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto* nss = scenario.database().find("NSS");
-  const bool use_interned = state.range(0) == 1;
-  const auto index = use_interned
-                         ? rs::analysis::build_version_index(*nss)
-                         : rs::analysis::build_version_index_merge(*nss);
+  const auto index = rs::analysis::build_version_index(*nss);
   for (auto _ : state) {
     std::size_t points = 0;
     for (const char* name :
@@ -243,9 +208,8 @@ void BM_DiffSeriesEngines(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(points);
   }
-  state.SetLabel(use_interned ? "interned" : "sorted-merge");
 }
-BENCHMARK(BM_DiffSeriesEngines)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiffSeriesEngines)->Unit(benchmark::kMillisecond);
 
 // Ablation: all-certificates (paper) vs TLS-anchors-only (trust-aware) sets.
 void BM_JaccardSetKind(benchmark::State& state) {

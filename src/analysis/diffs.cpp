@@ -49,19 +49,14 @@ std::size_t SnapshotDiff::removed_total() const noexcept {
 
 namespace {
 
-// "Ever present in NSS" membership, accumulated either as an interned
-// bitset (OR per snapshot, O(words)) or as a legacy FingerprintSet union.
-// Digests outside the interner universe fall back to a sorted extras set,
-// so membership answers are exact for any interner.
+// "Ever present in NSS" membership, accumulated as an interned bitset (OR
+// per snapshot, O(words)).  Digests outside the interner universe fall back
+// to a sorted extras set, so membership answers are exact for any interner.
 class EverSet {
  public:
   void accumulate(const FingerprintSet& fps,
-                  const rs::store::CertInterner* interner) {
-    if (interner == nullptr) {
-      merged_ = merged_.set_union(fps);
-      return;
-    }
-    auto interned = interner->intern(fps);
+                  const rs::store::CertInterner& interner) {
+    auto interned = interner.intern(fps);
     ids_ |= interned.ids;
     extra_prints_.insert(extra_prints_.end(), interned.unmapped.begin(),
                          interned.unmapped.end());
@@ -70,9 +65,8 @@ class EverSet {
   void seal() { extras_ = FingerprintSet(std::move(extra_prints_)); }
 
   bool contains(const Sha256Digest& fp,
-                const rs::store::CertInterner* interner) const {
-    if (interner == nullptr) return merged_.contains(fp);
-    if (const auto id = interner->id_of(fp)) return ids_.contains(*id);
+                const rs::store::CertInterner& interner) const {
+    if (const auto id = interner.id_of(fp)) return ids_.contains(*id);
     return extras_.contains(fp);
   }
 
@@ -80,7 +74,6 @@ class EverSet {
   rs::store::IdSet ids_;
   std::vector<Sha256Digest> extra_prints_;
   FingerprintSet extras_;
-  FingerprintSet merged_;
 };
 
 }  // namespace
@@ -95,7 +88,7 @@ DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
 
   // NSS-ever sets and first-TLS dates, for categorization (serial: each
   // step folds into the previous union).  Everything below only reads them.
-  const rs::store::CertInterner* interner = index.interner();
+  const rs::store::CertInterner& interner = index.interner();
   EverSet nss_ever_any;
   EverSet nss_ever_tls;
   std::map<Sha256Digest, rs::util::Date> first_tls_date;
@@ -125,20 +118,13 @@ DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
     diff.date = snap.date;
     diff.matched_version = matched->index;
 
-    FingerprintSet added;
-    FingerprintSet removed;
-    if (interner != nullptr) {
-      // Bitwise ANDNOT on dense IDs; materializes the same sorted digests
-      // as the merge-based difference below.
-      const auto interned_tls = interner->intern(deriv_tls);
-      added = rs::store::set_difference(interned_tls, matched->tls_interned,
-                                        *interner);
-      removed = rs::store::set_difference(matched->tls_interned, interned_tls,
-                                          *interner);
-    } else {
-      added = deriv_tls.difference(matched->tls_anchors);
-      removed = matched->tls_anchors.difference(deriv_tls);
-    }
+    // Bitwise ANDNOT on dense IDs; materializes the same sorted digests as
+    // a merge-based FingerprintSet::difference.
+    const auto interned_tls = interner.intern(deriv_tls);
+    const FingerprintSet added = rs::store::set_difference(
+        interned_tls, matched->tls_interned, interner);
+    const FingerprintSet removed = rs::store::set_difference(
+        matched->tls_interned, interned_tls, interner);
 
     for (const auto& fp : added.items()) {
       AddCategory cat;

@@ -4,7 +4,6 @@
 
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
-#include "src/store/fingerprint_set.h"
 #include "src/store/interner.h"
 
 namespace rs::analysis {
@@ -20,7 +19,7 @@ void note_matrix(rs::obs::Span& span, std::size_t n) {
   const std::uint64_t pairs = n < 2 ? 0 : n * (n - 1) / 2;
   span.set_items(pairs);
   reg.counter("analysis.jaccard_pairs").add(pairs);
-  // Each pair reads two cached (interned or materialized) sets.
+  // Each pair reads two cached interned sets.
   reg.counter("analysis.set_cache_hits").add(2 * pairs);
 }
 
@@ -72,44 +71,10 @@ DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
   const std::size_t n = out.labels.size();
   out.values.assign(n * n, 0.0);
 
-  if (options.algebra == SetAlgebra::kSortedMerge) {
-    // Legacy engine: linear merges over sorted 32-byte digests.  Kept for
-    // the merge-vs-interned equivalence suite and BENCH_intern.json.
-    //
-    // Phase 2 (parallel): materialize each snapshot's fingerprint set
-    // exactly once; the pair loop only reads this cache.
-    std::vector<rs::store::FingerprintSet> sets(n);
-    {
-      rs::obs::Span span("jaccard/sets");
-      span.set_items(n);
-      rs::exec::parallel_for(pool, n, [&](std::size_t i) {
-        sets[i] = options.set_kind == SetKind::kAllCertificates
-                      ? chosen[i]->all_fingerprints()
-                      : chosen[i]->tls_anchors();
-      });
-    }
-
-    // Phase 3 (parallel): upper-triangle row blocks.  Each pair (i, j > i)
-    // is computed by exactly one task and written to two distinct cells, so
-    // the result is independent of scheduling.
-    {
-      rs::obs::Span span("jaccard/pairs");
-      rs::exec::parallel_for(pool, n, [&](std::size_t i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-          const double d = sets[i].jaccard_distance(sets[j]);
-          out.values[i * n + j] = d;
-          out.values[j * n + i] = d;
-        }
-      });
-    }
-    note_matrix(matrix_span, n);
-    return out;
-  }
-
-  // Interned engine: dense IDs + packed bitsets, so each pair costs a few
-  // popcounts per cache line instead of a 32-bytes-per-element merge.
-  // A caller-provided interner (built once per database) is reused; else
-  // intern the database here.  Digests outside the universe are carried in
+  // Dense IDs + packed bitsets, so each pair costs a few popcounts per
+  // cache line instead of a 32-bytes-per-element merge.  A caller-provided
+  // interner (built once per database) is reused; else intern the database
+  // here.  Digests outside the universe are carried in
   // InternedSet::unmapped and corrected exactly, so any interner yields the
   // same matrix.
   rs::store::CertInterner local;
@@ -131,8 +96,9 @@ DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
     });
   }
 
-  // Phase 3 (parallel): popcount pair loop over the same upper-triangle row
-  // blocks; identical chunking and write pattern as the merge engine.
+  // Phase 3 (parallel): upper-triangle row blocks.  Each pair (i, j > i) is
+  // computed by exactly one task and written to two distinct cells, so the
+  // result is independent of scheduling.
   {
     rs::obs::Span span("jaccard/pairs");
     rs::exec::parallel_for(pool, n, [&](std::size_t i) {

@@ -7,9 +7,9 @@
 // variant; see DESIGN.md ablations).
 //
 // Matrix construction runs in three phases: snapshot selection (serial),
-// per-snapshot fingerprint-set materialization (cached once per snapshot,
-// parallelizable), and the O(n^2) upper-triangle pair loop (parallel row
-// blocks).  Results are bitwise-identical for any worker count; see
+// per-snapshot interned-set materialization (cached once per snapshot,
+// parallelizable), and the O(n^2) upper-triangle popcount pair loop
+// (parallel row blocks).  Results are bitwise-identical for any worker count; see
 // docs/PARALLELISM.md.
 #pragma once
 
@@ -39,15 +39,6 @@ enum class SetKind {
   kTlsAnchors,       // trust-aware ablation
 };
 
-/// How the pairwise set algebra is executed.  Both produce bit-identical
-/// matrices (the interned engine computes the same exact integer
-/// cardinalities via popcount); kSortedMerge remains for equivalence tests
-/// and the BENCH_intern.json comparison.
-enum class SetAlgebra {
-  kInterned,     // dense-ID bitsets, popcount pair loop (default)
-  kSortedMerge,  // legacy linear merge over sorted 32-byte digests
-};
-
 /// A symmetric distance matrix with its row labels.
 struct DistanceMatrix {
   std::vector<SnapshotRef> labels;
@@ -72,17 +63,16 @@ struct JaccardOptions {
   /// Keep at most this many snapshots per provider (uniform subsample, most
   /// recent kept); 0 = no limit.  Controls MDS cost.
   std::size_t max_per_provider = 0;
-  /// Pair-loop engine; see SetAlgebra.
-  SetAlgebra algebra = SetAlgebra::kInterned;
 };
 
 /// Builds the pairwise Jaccard distance matrix over `db`'s snapshots.
 /// `pool` parallelizes set materialization and the pair loop; null (or a
 /// zero-worker pool) computes inline serially with identical results.
-/// `interner` supplies a prebuilt certificate universe for the interned
-/// engine (EcosystemStudy builds one per database); when null the engine
-/// interns `db` itself.  Matrices are bit-identical across engines,
-/// interners, and worker counts.
+/// `interner` supplies a prebuilt certificate universe (EcosystemStudy
+/// builds one per database); when null the matrix interns `db` itself.
+/// Matrices are bit-identical across interners and worker counts, and to
+/// a sorted-merge computation over the same fingerprint sets (the referee
+/// in tests/analysis/merge_referee.h).
 DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
                               const JaccardOptions& options = {},
                               rs::exec::ThreadPool* pool = nullptr,

@@ -1,5 +1,7 @@
 #include "src/analysis/staleness.h"
 
+#include <cassert>
+
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 
@@ -13,9 +15,8 @@ NssVersionIndex::NssVersionIndex(
     std::vector<Version> versions,
     std::shared_ptr<const rs::store::CertInterner> interner)
     : versions_(std::move(versions)), interner_(std::move(interner)) {
-  if (interner_ != nullptr) {
-    for (auto& v : versions_) v.tls_interned = interner_->intern(v.tls_anchors);
-  }
+  assert(interner_ != nullptr && "NssVersionIndex needs an interner");
+  for (auto& v : versions_) v.tls_interned = interner_->intern(v.tls_anchors);
 }
 
 const NssVersionIndex::Version* NssVersionIndex::current_at(Date when) const {
@@ -29,29 +30,14 @@ const NssVersionIndex::Version* NssVersionIndex::current_at(Date when) const {
 
 const NssVersionIndex::Version* NssVersionIndex::closest_match(
     const FingerprintSet& anchors) const {
-  if (interner_ == nullptr) return closest_match_merge(anchors);
   // Intern the query once, then every version comparison is a popcount
   // scan.  The cardinalities (and hence the distances and the argmin) are
-  // exactly those of the merge scan below.
+  // exactly those of a sorted-merge scan over the digest sets.
   const auto query = interner_->intern(anchors);
   const Version* best = nullptr;
   double best_dist = 2.0;
   for (const auto& v : versions_) {
     const double d = rs::store::jaccard_distance(query, v.tls_interned);
-    if (d < best_dist) {  // strict: ties keep the earlier version
-      best_dist = d;
-      best = &v;
-    }
-  }
-  return best;
-}
-
-const NssVersionIndex::Version* NssVersionIndex::closest_match_merge(
-    const FingerprintSet& anchors) const {
-  const Version* best = nullptr;
-  double best_dist = 2.0;
-  for (const auto& v : versions_) {
-    const double d = anchors.jaccard_distance(v.tls_anchors);
     if (d < best_dist) {  // strict: ties keep the earlier version
       best_dist = d;
       best = &v;
@@ -94,11 +80,6 @@ NssVersionIndex build_version_index(
         std::make_shared<const CertInterner>(CertInterner::from_history(nss));
   }
   return NssVersionIndex(substantial_versions(nss), std::move(interner));
-}
-
-NssVersionIndex build_version_index_merge(
-    const rs::store::ProviderHistory& nss) {
-  return NssVersionIndex(substantial_versions(nss));
 }
 
 StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,

@@ -23,10 +23,10 @@ namespace rs::analysis {
 
 /// The ordered list of NSS substantial versions.
 ///
-/// When built with a CertInterner (the default), each version also carries
-/// its TLS set interned as a bitset, and closest_match scans via popcount
-/// instead of digest merges — same exact cardinalities, so the matched
-/// version is identical (see docs/INTERNING.md).
+/// Each version also carries its TLS set interned as a bitset, so
+/// closest_match scans via popcount instead of digest merges — same exact
+/// cardinalities, so the matched version is identical (see
+/// docs/INTERNING.md and the referee in tests/analysis/merge_referee.h).
 class NssVersionIndex {
  public:
   struct Version {
@@ -34,25 +34,22 @@ class NssVersionIndex {
     rs::util::Date date;
     std::string label;      // snapshot version string
     rs::store::FingerprintSet tls_anchors;
-    /// Interned form of tls_anchors (empty when no interner is attached).
+    /// Interned form of tls_anchors.
     rs::store::InternedSet tls_interned;
   };
 
-  /// Merge-only index: closest_match falls back to digest merges.
-  explicit NssVersionIndex(std::vector<Version> versions)
-      : versions_(std::move(versions)) {}
-
-  /// Interned index: interns every version's TLS set up front.
+  /// Interns every version's TLS set up front.  `interner` must not be
+  /// null.
   NssVersionIndex(std::vector<Version> versions,
                   std::shared_ptr<const rs::store::CertInterner> interner);
 
   const std::vector<Version>& versions() const noexcept { return versions_; }
   std::size_t size() const noexcept { return versions_.size(); }
 
-  /// The interner the index (and its dependent analyses) run on, or null
-  /// for a merge-only index.
-  const rs::store::CertInterner* interner() const noexcept {
-    return interner_.get();
+  /// The interner the index (and its dependent analyses) run on; never
+  /// null.
+  const rs::store::CertInterner& interner() const noexcept {
+    return *interner_;
   }
 
   /// Latest substantial version dated on or before `when` (nullptr if none).
@@ -60,13 +57,7 @@ class NssVersionIndex {
 
   /// The version whose TLS set is Jaccard-closest to `anchors`
   /// (ties broken toward the earlier version).  nullptr if empty.
-  /// Uses the popcount scan when an interner is attached.
   const Version* closest_match(const rs::store::FingerprintSet& anchors) const;
-
-  /// The legacy merge-based scan, regardless of interner (equivalence
-  /// tests and BENCH_intern.json compare it against closest_match).
-  const Version* closest_match_merge(
-      const rs::store::FingerprintSet& anchors) const;
 
  private:
   std::vector<Version> versions_;
@@ -82,11 +73,6 @@ class NssVersionIndex {
 NssVersionIndex build_version_index(
     const rs::store::ProviderHistory& nss,
     std::shared_ptr<const rs::store::CertInterner> interner = nullptr);
-
-/// A merge-only index with no interning (legacy engine, for equivalence
-/// tests and benchmarks).
-NssVersionIndex build_version_index_merge(
-    const rs::store::ProviderHistory& nss);
 
 /// One derivative snapshot's staleness sample.
 struct StalenessPoint {

@@ -18,6 +18,8 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+int open_reserve_fd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
 }  // namespace
 
 EventLoop::EventLoop(EventLoopOptions options, EventLoopHooks hooks)
@@ -35,6 +37,7 @@ EventLoop::~EventLoop() {
   }
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
+  if (reserve_fd_ >= 0) ::close(reserve_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
@@ -58,6 +61,8 @@ bool EventLoop::start() {
     return false;
   }
   if (listen_fd_ >= 0) {
+    reserve_fd_ = open_reserve_fd();
+    if (reserve_fd_ < 0) return false;
     epoll_event lev{};
     lev.events = EPOLLIN;  // level-triggered: backlog re-notifies until empty
     lev.data.fd = listen_fd_;
@@ -163,6 +168,7 @@ void EventLoop::do_accept() {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if ((errno == EMFILE || errno == ENFILE) && reject_one()) continue;
       return;  // EAGAIN: backlog empty; anything else: retry on next event
     }
     if (hooks_.on_connection) hooks_.on_connection();
@@ -174,6 +180,18 @@ void EventLoop::do_accept() {
       target->adopt(fd);
     }
   }
+}
+
+bool EventLoop::reject_one() {
+  if (reserve_fd_ < 0) reserve_fd_ = open_reserve_fd();
+  if (reserve_fd_ < 0) return false;
+  ::close(reserve_fd_);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) ::close(fd);
+  reserve_fd_ = open_reserve_fd();
+  if (fd < 0) return false;
+  if (hooks_.on_reject) hooks_.on_reject();
+  return true;
 }
 
 void EventLoop::adopt_local(int fd) {

@@ -16,6 +16,12 @@
 // "round-robin fd handoff" alternative to SO_REUSEPORT: one accept point,
 // no thundering herd, deterministic distribution.
 //
+// fd exhaustion: the accepting loop holds one reserve descriptor.  When
+// accept fails with EMFILE/ENFILE it releases the reserve, accepts the
+// pending connection, closes it at once (the peer sees EOF), and re-takes
+// the reserve.  Without that, the level-triggered listen fd would report
+// the unacceptable connection on every epoll_wait and the loop would spin.
+//
 // Backpressure: when a connection's pending write bytes exceed
 // `write_buffer_cap`, the loop stops consuming its input (no recv, no new
 // responses) until the kernel drains the socket below the cap — a slow
@@ -64,6 +70,9 @@ struct EventLoopHooks {
       transport_error;
   /// Counts one accepted connection (called on the accepting loop only).
   std::function<void()> on_connection;
+  /// Counts one connection closed at accept because the process was out of
+  /// descriptors (called on the accepting loop only).
+  std::function<void()> on_reject;
 };
 
 class EventLoop {
@@ -108,6 +117,7 @@ class EventLoop {
 
   void run();
   void do_accept();
+  bool reject_one();
   void adopt_local(int fd);
   void handle_event(int fd, std::uint32_t events);
   void pump(Conn& conn);
@@ -127,6 +137,7 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: [0] in the epoll set, [1] written
   int listen_fd_ = -1;
+  int reserve_fd_ = -1;  // accepting loop only: released under EMFILE
   std::vector<EventLoop*> peers_;
   std::size_t next_peer_ = 0;
 

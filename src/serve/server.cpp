@@ -96,6 +96,11 @@ rs::util::Result<std::uint16_t> Server::start() {
     connections_.fetch_add(1, std::memory_order_relaxed);
     rs::obs::Registry::global().counter("serve.connections").increment();
   };
+  hooks.on_reject = [this] {
+    // memory-order: relaxed — monotonic counter read only by stats().
+    accept_rejected_.fetch_add(1, std::memory_order_relaxed);
+    rs::obs::Registry::global().counter("serve.accept_rejected").increment();
+  };
 
   const std::size_t n = loop_count_for(options_.num_threads);
   loops_.clear();
@@ -262,6 +267,7 @@ std::string Server::server_stats_response() const {
   field("epoch", s.epoch);
   field("reloads", s.reloads);
   field("reload_failures", s.reload_failures);
+  field("accept_rejected", s.accept_rejected);
   out.push_back('}');
   return out;
 }
@@ -360,6 +366,7 @@ ServerStats Server::stats() const {
   s.batch_items = batch_items_.load(std::memory_order_relaxed);
   s.reloads = reloads_.load(std::memory_order_relaxed);
   s.reload_failures = reload_failures_.load(std::memory_order_relaxed);
+  s.accept_rejected = accept_rejected_.load(std::memory_order_relaxed);
   s.epoch = epoch();
   const LruCache::Counters c = cache_.counters();
   s.cache_hits = c.hits;

@@ -9,8 +9,7 @@
 // line fanning out to up to query::kMaxBatchRequests engine calls whose
 // responses come back in one envelope.
 //
-// Architecture (the PR 5 thread-per-connection design lives on unchanged
-// in threaded_server.h as the measured baseline):
+// Architecture:
 //   * A fixed pool of `num_threads` EventLoop workers, each owning its own
 //     epoll fd.  Loop 0 additionally owns the nonblocking listening socket
 //     (bound to 127.0.0.1 only) and round-robins accepted fds across all
@@ -80,8 +79,8 @@ struct ServerOptions {
 
 /// Point-in-time serve-layer counters (also mirrored to rs_obs as
 /// serve.requests / serve.errors / serve.cache_hits / serve.cache_misses /
-/// serve.connections / serve.batch_items / serve.reloads when tracing is
-/// enabled).
+/// serve.connections / serve.batch_items / serve.reloads /
+/// serve.accept_rejected when tracing is enabled).
 struct ServerStats {
   std::uint64_t connections = 0;   // accepted since start
   std::uint64_t requests = 0;      // request lines answered
@@ -92,6 +91,7 @@ struct ServerStats {
   std::uint64_t epoch = 0;         // current engine epoch (0 = initial)
   std::uint64_t reloads = 0;       // successful hot swaps
   std::uint64_t reload_failures = 0;
+  std::uint64_t accept_rejected = 0;  // closed at accept: out of fds
 };
 
 class Server {
@@ -177,6 +177,7 @@ class Server {
   std::atomic<std::uint64_t> batch_items_{0};
   std::atomic<std::uint64_t> reloads_{0};
   std::atomic<std::uint64_t> reload_failures_{0};
+  std::atomic<std::uint64_t> accept_rejected_{0};
 };
 
 }  // namespace rs::serve

@@ -62,11 +62,4 @@ FingerprintSet FingerprintSet::set_union(const FingerprintSet& other) const {
   return out;
 }
 
-double FingerprintSet::jaccard_distance(const FingerprintSet& other) const {
-  const std::size_t uni = union_size(other);
-  if (uni == 0) return 0.0;  // both empty: identical
-  const std::size_t inter = intersection_size(other);
-  return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 }  // namespace rs::store

@@ -3,7 +3,8 @@
 // Every family/lineage computation in the paper reduces to set operations
 // over SHA-256 fingerprints: Jaccard distance (Figure 1), derivative diffs
 // (Figure 4), exclusive roots (Table 6).  FingerprintSet keeps a sorted
-// unique vector so intersections/unions are linear merges.
+// unique vector so intersections/unions are linear merges; the analysis
+// hot paths run the same algebra on interned bitsets (interner.h).
 #pragma once
 
 #include <cstddef>
@@ -42,9 +43,6 @@ class FingerprintSet {
   FingerprintSet difference(const FingerprintSet& other) const;
   FingerprintSet intersection(const FingerprintSet& other) const;
   FingerprintSet set_union(const FingerprintSet& other) const;
-
-  /// Jaccard distance 1 - |A∩B| / |A∪B|; two empty sets have distance 0.
-  double jaccard_distance(const FingerprintSet& other) const;
 
   friend bool operator==(const FingerprintSet&, const FingerprintSet&) = default;
 

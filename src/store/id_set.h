@@ -47,8 +47,8 @@ class IdSet {
   IdSet& operator|=(const IdSet& other);
 
   /// Jaccard distance 1 - |A∩B| / |A∪B|; two empty sets have distance 0.
-  /// Exact-integer cardinalities make this bit-identical to
-  /// FingerprintSet::jaccard_distance on the equivalent sets.
+  /// Exact-integer cardinalities make this bit-identical to the
+  /// sorted-merge distance over the equivalent FingerprintSets.
   double jaccard_distance(const IdSet& other) const noexcept;
 
   /// All IDs present, ascending.  Because the interner assigns IDs in

@@ -41,8 +41,8 @@ struct InternedSet {
 
 /// Exact Jaccard distance between two interned sets, correcting for
 /// unmapped digests on either side (merged by sorted intersection, so the
-/// value equals FingerprintSet::jaccard_distance on the original sets
-/// bit-for-bit).
+/// value equals the sorted-merge distance over the original
+/// FingerprintSets bit-for-bit; tests/analysis/merge_referee.h).
 double jaccard_distance(const InternedSet& a, const InternedSet& b) noexcept;
 
 class CertInterner;

@@ -1,9 +1,10 @@
-// Merge-vs-interned equivalence on the curated paper scenario: the dense-ID
-// bitset engine must reproduce the legacy sorted-merge engine bit-for-bit —
+// Interned engine vs the sorted-merge referee on the curated paper
+// scenario: the dense-ID bitset engine must reproduce, bit-for-bit, what
+// plain FingerprintSet merges compute (tests/analysis/merge_referee.h) —
 // Jaccard matrices, closest-version matches, staleness series, diff series,
 // and exclusive roots — for every interner universe (NSS-local or
 // database-wide) and any worker count.  This is the contract that lets the
-// hot paths switch representation without a caller-visible change; see
+// hot paths run on bitsets without a caller-visible change; see
 // docs/INTERNING.md.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "src/exec/thread_pool.h"
 #include "src/store/interner.h"
 #include "src/synth/paper_scenario.h"
+#include "tests/analysis/merge_referee.h"
 
 namespace rs::analysis {
 namespace {
@@ -33,47 +35,45 @@ std::shared_ptr<const rs::store::CertInterner> db_interner() {
   return interner;
 }
 
-JaccardOptions figure1_options(SetAlgebra algebra) {
+JaccardOptions figure1_options() {
   JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = 20;
-  opts.algebra = algebra;
   return opts;
 }
 
-TEST(InternEquivalence, JaccardMatrixBitwiseIdentical) {
-  const auto merge = jaccard_matrix(scenario().database(),
-                                    figure1_options(SetAlgebra::kSortedMerge));
-  ASSERT_GT(merge.size(), 0u);
+constexpr const char* kDerivatives[] = {"Alpine", "AmazonLinux", "Android",
+                                        "NodeJS", "Debian",      "Ubuntu"};
 
+TEST(InternEquivalence, JaccardMatrixBitwiseIdentical) {
   // Interned with its own locally built universe.
-  const auto interned = jaccard_matrix(
-      scenario().database(), figure1_options(SetAlgebra::kInterned));
-  ASSERT_EQ(interned.size(), merge.size());
-  EXPECT_TRUE(interned.values == merge.values);
+  const auto interned = jaccard_matrix(scenario().database(), figure1_options());
+  ASSERT_GT(interned.size(), 0u);
+  const auto referee = rs::referee::jaccard_values(
+      scenario().database(), interned.labels, SetKind::kAllCertificates);
+  ASSERT_EQ(interned.values.size(), referee.size());
+  EXPECT_TRUE(interned.values == referee);
 
   // Interned against the shared database-wide interner, serial and pooled.
-  const auto shared = jaccard_matrix(scenario().database(),
-                                     figure1_options(SetAlgebra::kInterned),
+  const auto shared = jaccard_matrix(scenario().database(), figure1_options(),
                                      nullptr, db_interner().get());
-  EXPECT_TRUE(shared.values == merge.values);
+  EXPECT_TRUE(shared.values == referee);
   rs::exec::ThreadPool pool(3);
-  const auto pooled = jaccard_matrix(scenario().database(),
-                                     figure1_options(SetAlgebra::kInterned),
+  const auto pooled = jaccard_matrix(scenario().database(), figure1_options(),
                                      &pool, db_interner().get());
-  EXPECT_TRUE(pooled.values == merge.values);
+  EXPECT_TRUE(pooled.values == referee);
 }
 
 TEST(InternEquivalence, JaccardTlsAnchorsKind) {
-  auto merge_opts = figure1_options(SetAlgebra::kSortedMerge);
-  merge_opts.set_kind = SetKind::kTlsAnchors;
-  auto interned_opts = figure1_options(SetAlgebra::kInterned);
-  interned_opts.set_kind = SetKind::kTlsAnchors;
-  const auto merge = jaccard_matrix(scenario().database(), merge_opts);
-  const auto interned = jaccard_matrix(scenario().database(), interned_opts,
-                                       nullptr, db_interner().get());
-  ASSERT_EQ(interned.size(), merge.size());
-  EXPECT_TRUE(interned.values == merge.values);
+  auto opts = figure1_options();
+  opts.set_kind = SetKind::kTlsAnchors;
+  const auto interned = jaccard_matrix(scenario().database(), opts, nullptr,
+                                       db_interner().get());
+  ASSERT_GT(interned.size(), 0u);
+  const auto referee = rs::referee::jaccard_values(
+      scenario().database(), interned.labels, SetKind::kTlsAnchors);
+  ASSERT_EQ(interned.values.size(), referee.size());
+  EXPECT_TRUE(interned.values == referee);
 }
 
 TEST(InternEquivalence, ClosestMatchAgreesForEveryDerivativeSnapshot) {
@@ -81,28 +81,37 @@ TEST(InternEquivalence, ClosestMatchAgreesForEveryDerivativeSnapshot) {
   ASSERT_NE(nss, nullptr);
   const auto interned_index = build_version_index(*nss);
   const auto shared_index = build_version_index(*nss, db_interner());
-  const auto merge_index = build_version_index_merge(*nss);
-  ASSERT_EQ(interned_index.size(), merge_index.size());
-  ASSERT_NE(interned_index.interner(), nullptr);
-  EXPECT_EQ(merge_index.interner(), nullptr);
+  const auto referee_versions = rs::referee::substantial_versions(*nss);
+  ASSERT_EQ(interned_index.size(), referee_versions.size());
+  ASSERT_EQ(shared_index.size(), referee_versions.size());
+  EXPECT_GT(interned_index.interner().size(), 0u);
+  for (std::size_t i = 0; i < referee_versions.size(); ++i) {
+    EXPECT_EQ(interned_index.versions()[i].index, referee_versions[i].index);
+    EXPECT_EQ(interned_index.versions()[i].date, referee_versions[i].date);
+    EXPECT_TRUE(interned_index.versions()[i].tls_anchors ==
+                referee_versions[i].tls_anchors);
+  }
 
-  for (const char* name :
-       {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
+  for (const char* name : kDerivatives) {
     const auto* h = scenario().database().find(name);
     ASSERT_NE(h, nullptr) << name;
     for (const auto& snap : h->snapshots()) {
       const auto anchors = snap.tls_anchors();
-      const auto* merge_match = merge_index.closest_match(anchors);
+      const auto* referee_match =
+          rs::referee::closest_version(referee_versions, anchors);
       const auto* interned_match = interned_index.closest_match(anchors);
       const auto* shared_match = shared_index.closest_match(anchors);
-      const auto* cross_check = interned_index.closest_match_merge(anchors);
-      ASSERT_NE(merge_match, nullptr);
+      // The referee's merge scan over the production index's own versions.
+      const auto* cross_check =
+          rs::referee::closest_version(interned_index.versions(), anchors);
+      ASSERT_NE(referee_match, nullptr);
       ASSERT_NE(interned_match, nullptr);
-      EXPECT_EQ(interned_match->index, merge_match->index)
+      ASSERT_NE(shared_match, nullptr);
+      EXPECT_EQ(interned_match->index, referee_match->index)
           << name << " @ " << snap.date.to_string();
-      EXPECT_EQ(shared_match->index, merge_match->index)
+      EXPECT_EQ(shared_match->index, referee_match->index)
           << name << " @ " << snap.date.to_string();
-      EXPECT_EQ(cross_check->index, merge_match->index);
+      EXPECT_EQ(cross_check->index, referee_match->index);
     }
   }
 }
@@ -111,23 +120,28 @@ TEST(InternEquivalence, StalenessSeriesIdentical) {
   const auto* nss = scenario().database().find("NSS");
   ASSERT_NE(nss, nullptr);
   const auto interned_index = build_version_index(*nss, db_interner());
-  const auto merge_index = build_version_index_merge(*nss);
+  const auto referee_versions = rs::referee::substantial_versions(*nss);
 
-  for (const char* name :
-       {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
+  for (const char* name : kDerivatives) {
     const auto* h = scenario().database().find(name);
     ASSERT_NE(h, nullptr) << name;
-    const auto merge = derivative_staleness(*h, merge_index);
+    const auto referee = rs::referee::derivative_staleness(*h, referee_versions);
     const auto interned = derivative_staleness(*h, interned_index);
-    ASSERT_EQ(interned.points.size(), merge.points.size()) << name;
-    EXPECT_EQ(interned.avg_versions_behind, merge.avg_versions_behind) << name;
-    EXPECT_EQ(interned.always_stale, merge.always_stale) << name;
-    for (std::size_t i = 0; i < merge.points.size(); ++i) {
+    ASSERT_EQ(interned.points.size(), referee.points.size()) << name;
+    EXPECT_EQ(interned.avg_versions_behind, referee.avg_versions_behind)
+        << name;
+    EXPECT_EQ(interned.always_stale, referee.always_stale) << name;
+    for (std::size_t i = 0; i < referee.points.size(); ++i) {
+      EXPECT_EQ(interned.points[i].date, referee.points[i].date)
+          << name << " point " << i;
       EXPECT_EQ(interned.points[i].matched_version,
-                merge.points[i].matched_version)
+                referee.points[i].matched_version)
+          << name << " point " << i;
+      EXPECT_EQ(interned.points[i].current_version,
+                referee.points[i].current_version)
           << name << " point " << i;
       EXPECT_EQ(interned.points[i].versions_behind,
-                merge.points[i].versions_behind)
+                referee.points[i].versions_behind)
           << name << " point " << i;
     }
   }
@@ -137,24 +151,29 @@ TEST(InternEquivalence, DiffSeriesIdentical) {
   const auto* nss = scenario().database().find("NSS");
   ASSERT_NE(nss, nullptr);
   const auto interned_index = build_version_index(*nss, db_interner());
-  const auto merge_index = build_version_index_merge(*nss);
+  const auto referee_versions = rs::referee::substantial_versions(*nss);
+  // The referee's ever-TLS union agrees with the database's own scan.
+  EXPECT_TRUE(rs::referee::nss_ever(*nss).tls ==
+              scenario().database().tls_roots_ever("NSS"));
 
   rs::exec::ThreadPool pool(3);
-  for (const char* name :
-       {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
+  for (const char* name : kDerivatives) {
     const auto* h = scenario().database().find(name);
     ASSERT_NE(h, nullptr) << name;
-    const auto merge = derivative_diffs(*h, *nss, merge_index);
+    const auto referee =
+        rs::referee::derivative_diffs(*h, *nss, referee_versions);
     const auto interned = derivative_diffs(*h, *nss, interned_index, &pool);
-    ASSERT_EQ(interned.points.size(), merge.points.size()) << name;
-    EXPECT_EQ(interned.ever_deviates, merge.ever_deviates) << name;
-    for (std::size_t i = 0; i < merge.points.size(); ++i) {
+    ASSERT_EQ(interned.points.size(), referee.points.size()) << name;
+    EXPECT_EQ(interned.ever_deviates, referee.ever_deviates) << name;
+    for (std::size_t i = 0; i < referee.points.size(); ++i) {
+      EXPECT_EQ(interned.points[i].date, referee.points[i].date)
+          << name << " point " << i;
       EXPECT_EQ(interned.points[i].matched_version,
-                merge.points[i].matched_version)
+                referee.points[i].matched_version)
           << name << " point " << i;
-      EXPECT_EQ(interned.points[i].adds, merge.points[i].adds)
+      EXPECT_EQ(interned.points[i].adds, referee.points[i].adds)
           << name << " point " << i;
-      EXPECT_EQ(interned.points[i].removes, merge.points[i].removes)
+      EXPECT_EQ(interned.points[i].removes, referee.points[i].removes)
           << name << " point " << i;
     }
   }
@@ -163,13 +182,19 @@ TEST(InternEquivalence, DiffSeriesIdentical) {
 TEST(InternEquivalence, ExclusiveRootsIdentical) {
   const std::vector<std::string> programs = {"NSS", "Java", "Apple",
                                              "Microsoft"};
-  const auto merge = exclusive_roots(scenario().database(), programs);
+  const auto referee =
+      rs::referee::exclusive_roots(scenario().database(), programs);
+  // Without an interner (a local universe) and with the database-wide one.
+  const auto local = exclusive_roots(scenario().database(), programs);
   const auto interned =
       exclusive_roots(scenario().database(), programs, db_interner().get());
-  ASSERT_EQ(interned.size(), merge.size());
-  for (std::size_t i = 0; i < merge.size(); ++i) {
-    EXPECT_EQ(interned[i].program, merge[i].program);
-    EXPECT_EQ(interned[i].roots, merge[i].roots) << merge[i].program;
+  ASSERT_EQ(local.size(), referee.size());
+  ASSERT_EQ(interned.size(), referee.size());
+  for (std::size_t i = 0; i < referee.size(); ++i) {
+    EXPECT_EQ(local[i].program, referee[i].program);
+    EXPECT_EQ(local[i].roots, referee[i].roots) << referee[i].program;
+    EXPECT_EQ(interned[i].program, referee[i].program);
+    EXPECT_EQ(interned[i].roots, referee[i].roots) << referee[i].program;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "src/store/trust.h"
 #include "src/x509/builder.h"
+#include "tests/analysis/merge_referee.h"
 
 namespace rs::analysis {
 namespace {
@@ -135,26 +136,27 @@ TEST(Jaccard, SubsampleToSingleSnapshotKeepsNewest) {
 
   JaccardOptions opts;
   opts.max_per_provider = 1;
-  for (const auto algebra : {SetAlgebra::kInterned, SetAlgebra::kSortedMerge}) {
-    opts.algebra = algebra;
-    const auto dist = jaccard_matrix(db, opts);
-    ASSERT_EQ(dist.size(), 2u);  // one snapshot per provider
-    EXPECT_EQ(dist.labels[0].provider, "A");
-    EXPECT_EQ(dist.labels[0].provider_index, 11u);  // newest of A's 12
-    EXPECT_EQ(dist.labels[1].provider, "B");
-    EXPECT_EQ(dist.labels[1].provider_index, 1u);   // newest of B's 2
-  }
+  const auto dist = jaccard_matrix(db, opts);
+  ASSERT_EQ(dist.size(), 2u);  // one snapshot per provider
+  EXPECT_EQ(dist.labels[0].provider, "A");
+  EXPECT_EQ(dist.labels[0].provider_index, 11u);  // newest of A's 12
+  EXPECT_EQ(dist.labels[1].provider, "B");
+  EXPECT_EQ(dist.labels[1].provider_index, 1u);   // newest of B's 2
+  // The selected cells agree with the sorted-merge referee.
+  EXPECT_TRUE(dist.values == rs::referee::jaccard_values(
+                                 db, dist.labels, SetKind::kAllCertificates));
 }
 
-// Both engines agree on a handcrafted matrix (the scenario-scale version
-// lives in intern_equivalence_test.cpp).
+// The interned matrix agrees with the sorted-merge referee on a handcrafted
+// database (the scenario-scale version lives in
+// intern_equivalence_test.cpp).
 TEST(Jaccard, MergeAndInternedEnginesMatch) {
-  JaccardOptions merge_opts;
-  merge_opts.algebra = SetAlgebra::kSortedMerge;
-  const auto merge = jaccard_matrix(two_provider_db(), merge_opts);
-  const auto interned = jaccard_matrix(two_provider_db());  // default engine
-  ASSERT_EQ(interned.size(), merge.size());
-  EXPECT_TRUE(interned.values == merge.values);
+  const StoreDatabase db = two_provider_db();
+  const auto interned = jaccard_matrix(db);
+  const auto merge = rs::referee::jaccard_values(db, interned.labels,
+                                                 SetKind::kAllCertificates);
+  ASSERT_EQ(interned.values.size(), merge.size());
+  EXPECT_TRUE(interned.values == merge);
 }
 
 TEST(Jaccard, EmptyDatabase) {

@@ -12,6 +12,7 @@
 #include "src/crypto/prng.h"
 #include "src/store/fingerprint_set.h"
 #include "src/store/interner.h"
+#include "tests/analysis/merge_referee.h"
 
 namespace rs::store {
 namespace {
@@ -136,7 +137,7 @@ void expect_equivalent(const SetPair& a, const SetPair& b,
   EXPECT_EQ(a.interned.ids.union_size(b.interned.ids), a.fps.union_size(b.fps));
   // Jaccard doubles must match bit-for-bit: same integer cardinalities,
   // same division.
-  const double merge_d = a.fps.jaccard_distance(b.fps);
+  const double merge_d = rs::referee::jaccard_distance(a.fps, b.fps);
   const double interned_d = jaccard_distance(a.interned, b.interned);
   EXPECT_EQ(merge_d, interned_d);
   EXPECT_DOUBLE_EQ(a.interned.ids.jaccard_distance(b.interned.ids), merge_d);
@@ -229,7 +230,7 @@ TEST(IdSetProperty, UnmappedDigestsCorrectedExactly) {
     const auto ib = interner.intern(fb);
     ASSERT_TRUE(ia.unmapped.empty());
 
-    EXPECT_EQ(jaccard_distance(ia, ib), fa.jaccard_distance(fb));
+    EXPECT_EQ(jaccard_distance(ia, ib), rs::referee::jaccard_distance(fa, fb));
     EXPECT_TRUE(set_difference(ia, ib, interner) == fa.difference(fb));
     EXPECT_TRUE(set_difference(ib, ia, interner) == fb.difference(fa));
     EXPECT_EQ(ib.size(), fb.size());

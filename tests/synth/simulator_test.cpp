@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/analysis/merge_referee.h"
 namespace rs::synth {
 namespace {
 
@@ -86,7 +87,7 @@ TEST(Simulator, DerivativesTrackBaseProgram) {
   const auto base_tls = base->back().tls_anchors();
   const auto deriv_tls = deriv->back().tls_anchors();
   ASSERT_GT(base_tls.size(), 0u);
-  EXPECT_LT(deriv_tls.jaccard_distance(base_tls), 0.5);
+  EXPECT_LT(rs::referee::jaccard_distance(deriv_tls, base_tls), 0.5);
 }
 
 TEST(Simulator, ZeroDerivativesSupported) {

@@ -8,8 +8,10 @@
 #   3. TSan build        ThreadSanitizer over the concurrency suite
 #                        (`ctest -L tsan`: thread-pool stress tests, the
 #                        parallel analysis pipeline under contention, the
-#                        merge-vs-interned equivalence suite on the pool,
-#                        and the serve layer under concurrent socket clients)
+#                        interned-vs-referee equivalence suite on the pool,
+#                        and the serve layer under concurrent socket
+#                        clients) plus the serve_fault battery (`ctest -L
+#                        serve_fault`: the server under fd exhaustion)
 #   4. static concurrency gates (skip with ROOTSTORE_SKIP_STATIC=1)
 #                        a) tools/check_concurrency.sh — structural
 #                           lock-discipline lint (naked std::mutex, detach,
@@ -24,14 +26,14 @@
 #   5. lint              clang-tidy via tools/run_lint.sh (skipped with a
 #                        notice when clang-tidy is not installed)
 #   6. benches           records the 1-vs-N worker scaling sweep into
-#                        BENCH_parallel.json, the merge-vs-interned
-#                        set-algebra sweep into BENCH_intern.json, the
-#                        observability-overhead sweep into BENCH_obs.json,
-#                        the threaded-vs-epoll serve transport comparison
-#                        into BENCH_serve.json — gated same-run: epoll at
-#                        64 connections must hold >= 0.7x the threaded
-#                        4-connection miss throughput, and batch-16 must
-#                        amortize >= 2x the singleton hit throughput —
+#                        BENCH_parallel.json, the observability-overhead
+#                        sweep into BENCH_obs.json, the serve benchmark
+#                        into BENCH_serve.json — gated same-run: miss
+#                        throughput at 64 connections must hold >= 0.7x
+#                        that at 4, miss p99.9 at 64 connections must stay
+#                        under the ceiling in tools/record_serve_bench.sh,
+#                        and batch-16 must amortize >= 2x the singleton
+#                        hit throughput —
 #                        the persisted-index cold-start/append
 #                        speedups into BENCH_incremental.json, gated
 #                        against the docs/PERSISTENCE.md floors (load >=
@@ -72,8 +74,9 @@ cmake --build "$repo_root/build-tsan" -j "$jobs" \
       --target exec_tests --target intern_equivalence_tests \
       --target obs_tests --target query_property_tests --target serve_tests \
       --target thread_annotations_tests --target verify_property_tests \
-      --target landscape_property_tests
-ctest --test-dir "$repo_root/build-tsan" --output-on-failure -L tsan
+      --target landscape_property_tests --target serve_fault_tests
+ctest --test-dir "$repo_root/build-tsan" --output-on-failure \
+      -L 'tsan|serve_fault'
 
 if [ "${ROOTSTORE_SKIP_STATIC:-0}" = "1" ]; then
   echo "=== [4/7] static concurrency gates: SKIPPED (ROOTSTORE_SKIP_STATIC=1) ==="
@@ -108,12 +111,11 @@ echo "=== [5/7] clang-tidy ==="
 if [ "${ROOTSTORE_SKIP_BENCH:-0}" = "1" ]; then
   echo "=== [6/7] benches: SKIPPED (ROOTSTORE_SKIP_BENCH=1) ==="
 else
-  echo "=== [6/7] benches -> BENCH_parallel/intern/obs/serve/incremental/verify/landscape.json ==="
+  echo "=== [6/7] benches -> BENCH_parallel/obs/serve/incremental/verify/landscape.json ==="
   cmake --build "$repo_root/build" -j "$jobs" --target perf_analysis \
         --target perf_persist --target perf_verify --target perf_landscape \
         --target rootstore --target serve_loadgen
   "$repo_root/tools/record_parallel_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_intern_bench.sh" "$repo_root/build"
   "$repo_root/tools/record_obs_bench.sh" "$repo_root/build"
   "$repo_root/tools/record_serve_bench.sh" "$repo_root/build"
   "$repo_root/tools/record_incremental_bench.sh" "$repo_root/build"

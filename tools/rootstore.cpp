@@ -44,7 +44,6 @@
 #include "src/query/engine.h"
 #include "src/query/index_io.h"
 #include "src/serve/server.h"
-#include "src/serve/threaded_server.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/user_agents.h"
 #include "src/util/strings.h"
@@ -95,8 +94,7 @@ int usage() {
       "  index verify <file>       structural + checksum + deep consistency\n"
       "                            verification of a persisted index\n"
       "  serve [--port N] [--threads K] [--cache N] [--port-file FILE]\n"
-      "        [--from DIR] [--index FILE] [--transport epoll|threaded]\n"
-      "        [--watch-index]\n"
+      "        [--from DIR] [--index FILE] [--watch-index]\n"
       "                            serve queries as newline-delimited JSON\n"
       "                            over loopback TCP (port 0 = ephemeral;\n"
       "                            the bound port is printed and optionally\n"
@@ -106,10 +104,7 @@ int usage() {
       "                            persisted index instead of rebuilding\n"
       "                            from snapshots, enables the reload_index\n"
       "                            op, and with --watch-index hot-swaps the\n"
-      "                            engine when FILE changes on disk;\n"
-      "                            --transport threaded runs the PR 5\n"
-      "                            thread-per-connection baseline instead\n"
-      "                            of the event-driven default\n"
+      "                            engine when FILE changes on disk\n"
       "  formats                   list supported serializations\n",
       stderr);
   return 2;
@@ -251,11 +246,17 @@ int cmd_diff(const std::string& a_path, const std::string& b_path) {
   for (const auto& e : b.value().entries) b_set.insert(e.certificate->sha256());
   std::printf("%s: %zu roots\n%s: %zu roots\n", a_path.c_str(), a_set.size(),
               b_path.c_str(), b_set.size());
+  // Jaccard distance 1 - |A∩B| / |A∪B|; two empty stores are identical.
+  const std::size_t shared = a_set.intersection_size(b_set);
+  const std::size_t either = a_set.union_size(b_set);
+  const double distance =
+      either == 0 ? 0.0
+                  : 1.0 - static_cast<double>(shared) /
+                              static_cast<double>(either);
   std::printf("only in A: %zu   only in B: %zu   shared: %zu   jaccard "
               "distance: %.3f\n",
               a_set.difference(b_set).size(), b_set.difference(a_set).size(),
-              a_set.intersection_size(b_set),
-              a_set.jaccard_distance(b_set));
+              shared, distance);
   return 0;
 }
 
@@ -494,14 +495,12 @@ bool write_port_file_atomic(const std::string& path, std::uint16_t port) {
   return true;
 }
 
-// Shared serve tail for both transports: install the signal latch, publish
-// the port file (only now — listen(2) has already succeeded inside
-// start(), so the file never names a dead socket), block until
-// SIGINT/SIGTERM, drain, report.
-template <typename ServerT>
-int serve_until_signal(ServerT& server, std::uint16_t bound_port,
+// Serve tail: install the signal latch, publish the port file (only now —
+// listen(2) has already succeeded inside start(), so the file never names
+// a dead socket), block until SIGINT/SIGTERM, drain, report.
+int serve_until_signal(rs::serve::Server& server, std::uint16_t bound_port,
                        const std::string& port_file, std::size_t threads,
-                       std::size_t cache, const char* transport) {
+                       std::size_t cache) {
   if (pipe(g_shutdown_pipe) != 0) return die("cannot create signal pipe");
   struct sigaction action {};
   action.sa_handler = handle_shutdown_signal;
@@ -512,8 +511,8 @@ int serve_until_signal(ServerT& server, std::uint16_t bound_port,
   if (!port_file.empty() && !write_port_file_atomic(port_file, bound_port)) {
     return die("cannot write port file: " + port_file);
   }
-  std::printf("listening 127.0.0.1:%u (transport=%s threads=%zu cache=%zu)\n",
-              static_cast<unsigned>(bound_port), transport, threads, cache);
+  std::printf("listening 127.0.0.1:%u (threads=%zu cache=%zu)\n",
+              static_cast<unsigned>(bound_port), threads, cache);
   std::fflush(stdout);
 
   char byte = 0;
@@ -532,16 +531,9 @@ int serve_until_signal(ServerT& server, std::uint16_t bound_port,
 
 int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
               const std::string& port_file, const std::string& from_dir,
-              const std::string& index_file, const std::string& transport,
-              bool watch_index) {
-  if (transport != "epoll" && transport != "threaded") {
-    return die("--transport must be 'epoll' or 'threaded'");
-  }
+              const std::string& index_file, bool watch_index) {
   if (watch_index && index_file.empty()) {
     return die("--watch-index requires --index FILE");
-  }
-  if (watch_index && transport == "threaded") {
-    return die("--watch-index requires the epoll transport");
   }
   // A stale port file from an earlier run poisons waiting clients: remove
   // it up front so a reader only ever sees the port of THIS process.
@@ -554,15 +546,6 @@ int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
   options.port = port;
   options.num_threads = threads;
   options.cache_capacity = cache;
-
-  if (transport == "threaded") {
-    const rs::query::QueryEngine engine = std::move(made).take();
-    rs::serve::ThreadedServer server(engine, options);
-    auto bound = server.start();
-    if (!bound.ok()) return die(bound.error());
-    return serve_until_signal(server, bound.value(), port_file, threads,
-                              cache, "threaded");
-  }
 
   if (!index_file.empty()) {
     // Reloading re-reads the persisted index: cheap relative to a rebuild,
@@ -584,8 +567,7 @@ int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
       options);
   auto bound = server.start();
   if (!bound.ok()) return die(bound.error());
-  return serve_until_signal(server, bound.value(), port_file, threads, cache,
-                            "epoll");
+  return serve_until_signal(server, bound.value(), port_file, threads, cache);
 }
 
 }  // namespace
@@ -680,7 +662,6 @@ int main(int argc, char** argv) {
     std::string port_file;
     std::string from_dir;
     std::string index_file;
-    std::string transport = "epoll";
     bool watch_index = false;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--port" && i + 1 < args.size()) {
@@ -698,8 +679,6 @@ int main(int argc, char** argv) {
         from_dir = args[++i];
       } else if (args[i] == "--index" && i + 1 < args.size()) {
         index_file = args[++i];
-      } else if (args[i] == "--transport" && i + 1 < args.size()) {
-        transport = args[++i];
       } else if (args[i] == "--watch-index") {
         watch_index = true;
       } else {
@@ -707,7 +686,7 @@ int main(int argc, char** argv) {
       }
     }
     return cmd_serve(static_cast<std::uint16_t>(port), threads, cache,
-                     port_file, from_dir, index_file, transport, watch_index);
+                     port_file, from_dir, index_file, watch_index);
   }
   return usage();
 }
