@@ -67,7 +67,7 @@ BENCHMARK(BM_JaccardMatrix)->Arg(10)->Arg(25)->Arg(50)
 // window, 40 snapshots/provider — the report_figure1 default).  Arg is the
 // worker count; 0 is the inline serial baseline.  Results are
 // bitwise-identical across args (see docs/PARALLELISM.md); only the wall
-// clock moves.  tools/record_parallel_bench.sh captures this sweep into
+// clock moves.  tools/bench.sh captures this sweep into
 // BENCH_parallel.json.
 void BM_JaccardMatrixParallel(benchmark::State& state) {
   const auto& scenario = shared_scenario();
@@ -333,7 +333,7 @@ BENCHMARK(BM_OperatorFootprints)->Unit(benchmark::kMillisecond);
 // The same Figure-1-sized work items with the rs_obs registry disabled
 // (the default) vs enabled with the production steady clock.  The
 // acceptance gate compares the untraced arm against the uninstrumented
-// baseline benchmarks (tools/record_obs_bench.sh): the disabled cost of
+// baseline benchmarks (tools/bench.sh records both): the disabled cost of
 // every probe on the hot path is one relaxed atomic load, so the delta
 // must stay within noise (≤2%).
 

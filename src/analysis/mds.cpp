@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "src/crypto/prng.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 
@@ -178,16 +177,7 @@ MdsResult smacof_mds(const DistanceMatrix& dist, const MdsOptions& options,
     return out;
   }
 
-  if (options.random_init) {
-    out.points.assign(n, Point2{});
-    rs::crypto::Prng rng(options.seed);
-    for (auto& p : out.points) {
-      p.x = rng.uniform01() - 0.5;
-      p.y = rng.uniform01() - 0.5;
-    }
-  } else {
-    out.points = classical_mds(dist).points;
-  }
+  out.points = classical_mds(dist).points;
 
   double prev_stress = embedding_stress(dist, out.points, pool);
   std::vector<Point2> next(n);

@@ -26,10 +26,6 @@ struct MdsOptions {
   std::size_t max_iterations = 300;
   /// Stop when relative stress improvement falls below this.
   double tolerance = 1e-7;
-  /// Skip the classical-MDS initialization and start from a deterministic
-  /// pseudo-random layout (ablation knob; usually worse).
-  bool random_init = false;
-  std::uint64_t seed = 7;
 };
 
 /// Result of an embedding.
@@ -44,7 +40,7 @@ struct MdsResult {
 /// double-centered squared-distance matrix via deflated power iteration.
 MdsResult classical_mds(const DistanceMatrix& dist);
 
-/// Metric MDS via SMACOF, initialized from classical MDS (or random).
+/// Metric MDS via SMACOF, initialized from classical MDS.
 /// `pool` parallelizes the Guttman transform and stress evaluation per
 /// iteration; results are bitwise-identical for any worker count (fixed
 /// chunking, per-row partials combined in row order).

@@ -172,8 +172,7 @@ std::string Server::respond_line(std::string_view line) {
   // a batch is answered by the same engine even when a hot swap lands
   // mid-batch, and the pinned shared_ptr keeps the old engine alive until
   // this request is done.
-  const std::shared_ptr<const Published> pub =
-      published_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Published> pub = published();
 
   if (rs::query::looks_like_batch(line)) {
     auto items = rs::query::parse_batch_request(line);
@@ -342,19 +341,21 @@ void Server::run_reload() {
 
 void Server::swap_engine(
     std::shared_ptr<const rs::query::QueryEngine> engine) {
-  auto cur = published_.load(std::memory_order_acquire);
-  std::shared_ptr<const Published> next;
-  do {
-    next = std::make_shared<const Published>(
-        Published{engine, cur->epoch + 1});
-  } while (!published_.compare_exchange_weak(cur, next,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire));
+  // Declared before the lock so the retired pair (possibly the last
+  // reference to the old engine) is destroyed after the lock is released.
+  std::shared_ptr<const Published> retired;
+  rs::util::MutexLock lock(publish_mutex_);
+  retired = std::exchange(
+      published_, std::make_shared<const Published>(
+                      Published{std::move(engine), published_->epoch + 1}));
 }
 
-std::uint64_t Server::epoch() const {
-  return published_.load(std::memory_order_acquire)->epoch;
+std::shared_ptr<const Server::Published> Server::published() const {
+  rs::util::MutexLock lock(publish_mutex_);
+  return published_;
 }
+
+std::uint64_t Server::epoch() const { return published()->epoch; }
 
 ServerStats Server::stats() const {
   ServerStats s;

@@ -22,13 +22,15 @@
 //     epoch-prefixed canonical_request() fronts the engine, so loops
 //     answering different requests never contend on one cache lock.
 //
-// Hot swap (RCU): the engine is published as
-// `std::atomic<std::shared_ptr<const Published>>` where Published bundles
-// {engine, epoch}.  A request pins one Published at dispatch and uses it
-// for the whole line (every item of a batch included), so a swap mid-line
-// never mixes epochs.  Old engines are freed when the last in-flight
-// request drops its shared_ptr.  Cache keys carry the epoch, so entries
-// cached under a replaced engine can never be served after a flip.
+// Hot swap (RCU): the engine is published as a
+// `std::shared_ptr<const Published>` guarded by publish_mutex_, where
+// Published bundles {engine, epoch}.  A request copies the pointer under
+// the lock once at dispatch (the lock covers only that copy, never the
+// engine call) and uses it for the whole line (every item of a batch
+// included), so a swap mid-line never mixes epochs.  Old engines are freed
+// when the last in-flight request drops its shared_ptr.  Cache keys carry
+// the epoch, so entries cached under a replaced engine can never be served
+// after a flip.
 // Swaps come from the `reload_index` admin op or `--watch-index` polling;
 // both run options_.reload_factory on the dedicated reloader thread —
 // never on an event loop — so serving latency is unaffected by index
@@ -137,8 +139,8 @@ class Server {
   std::uint64_t epoch() const;
 
  private:
-  /// One atomically published engine+epoch pair.  Bundling them means a
-  /// single load observes a consistent pair — no torn engine/epoch reads.
+  /// One published engine+epoch pair.  Bundling them means a single
+  /// pointer copy observes a consistent pair — no torn engine/epoch reads.
   struct Published {
     std::shared_ptr<const rs::query::QueryEngine> engine;
     std::uint64_t epoch = 0;
@@ -149,10 +151,16 @@ class Server {
   std::string reload_response(const Published& pub) RS_EXCLUDES(reload_mutex_);
   void reload_loop();
   void run_reload();
+  std::shared_ptr<const Published> published() const
+      RS_EXCLUDES(publish_mutex_);
 
   const ServerOptions options_;
   ShardedCache cache_;
-  std::atomic<std::shared_ptr<const Published>> published_;
+  // A plain mutex, not std::atomic<std::shared_ptr>: libstdc++'s atomic
+  // shared_ptr hides its lock in a pointer bit that TSan cannot see, so
+  // swaps racing reads were reported as data races.
+  mutable rs::util::Mutex publish_mutex_;
+  std::shared_ptr<const Published> published_ RS_GUARDED_BY(publish_mutex_);
 
   // unique_ptr: EventLoop is immovable (owns a Mutex and a thread).
   std::vector<std::unique_ptr<EventLoop>> loops_;

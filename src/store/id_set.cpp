@@ -92,13 +92,6 @@ IdSet& IdSet::operator|=(const IdSet& other) {
   return *this;
 }
 
-double IdSet::jaccard_distance(const IdSet& other) const noexcept {
-  const std::size_t inter = intersection_size(other);
-  const std::size_t uni = count_ + other.count_ - inter;
-  if (uni == 0) return 0.0;  // both empty: identical
-  return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 IdSet IdSet::from_words(std::vector<std::uint64_t> words) {
   IdSet out;
   out.words_ = std::move(words);

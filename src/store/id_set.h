@@ -46,11 +46,6 @@ class IdSet {
   /// In-place union (the bulk-accumulation path for "ever" sets).
   IdSet& operator|=(const IdSet& other);
 
-  /// Jaccard distance 1 - |A∩B| / |A∪B|; two empty sets have distance 0.
-  /// Exact-integer cardinalities make this bit-identical to the
-  /// sorted-merge distance over the equivalent FingerprintSets.
-  double jaccard_distance(const IdSet& other) const noexcept;
-
   /// All IDs present, ascending.  Because the interner assigns IDs in
   /// sorted-digest order, this is also sorted-digest order.
   std::vector<std::uint32_t> ids() const;

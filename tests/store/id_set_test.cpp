@@ -34,7 +34,6 @@ TEST(IdSet, EmptyBehaviour) {
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(a.intersection_size(b), 0u);
   EXPECT_EQ(a.union_size(b), 0u);
-  EXPECT_DOUBLE_EQ(a.jaccard_distance(b), 0.0);  // both empty: identical
   EXPECT_TRUE(a == b);
 }
 
@@ -77,7 +76,6 @@ TEST(IdSet, AlgebraAcrossWordBoundaries) {
   EXPECT_EQ(a.difference(b).ids(), (std::vector<std::uint32_t>{1, 64}));
   EXPECT_EQ(b.difference(a).ids(), (std::vector<std::uint32_t>{128, 199}));
   EXPECT_EQ(a.set_union(b).size(), 7u);
-  EXPECT_DOUBLE_EQ(a.jaccard_distance(b), 1.0 - 3.0 / 7.0);
 }
 
 TEST(IdSet, DifferentWordCountsCompose) {
@@ -140,7 +138,6 @@ void expect_equivalent(const SetPair& a, const SetPair& b,
   const double merge_d = rs::referee::jaccard_distance(a.fps, b.fps);
   const double interned_d = jaccard_distance(a.interned, b.interned);
   EXPECT_EQ(merge_d, interned_d);
-  EXPECT_DOUBLE_EQ(a.interned.ids.jaccard_distance(b.interned.ids), merge_d);
   // Materialized difference/intersection/union round-trip to identical
   // FingerprintSets.
   EXPECT_TRUE(interner.materialize(

@@ -25,26 +25,12 @@
 #                           (skipped with a notice when clang is missing)
 #   5. lint              clang-tidy via tools/run_lint.sh (skipped with a
 #                        notice when clang-tidy is not installed)
-#   6. benches           records the 1-vs-N worker scaling sweep into
-#                        BENCH_parallel.json, the observability-overhead
-#                        sweep into BENCH_obs.json, the serve benchmark
-#                        into BENCH_serve.json — gated same-run: miss
-#                        throughput at 64 connections must hold >= 0.7x
-#                        that at 4, miss p99.9 at 64 connections must stay
-#                        under the ceiling in tools/record_serve_bench.sh,
-#                        and batch-16 must amortize >= 2x the singleton
-#                        hit throughput —
-#                        the persisted-index cold-start/append
-#                        speedups into BENCH_incremental.json, gated
-#                        against the docs/PERSISTENCE.md floors (load >=
-#                        20x rebuild, append-one >= 10x full recompute),
-#                        the chain-verification sweep into
-#                        BENCH_verify.json, gated on the breakpoint
-#                        temporal scan beating the day-by-day scan >= 5x,
-#                        and the landscape agreement-matrix comparison
-#                        into BENCH_landscape.json, gated on the IdSet
-#                        matrix beating the naive FingerprintSet scan
-#                        >= 5x (skip with ROOTSTORE_SKIP_BENCH=1)
+#   6. benches           tools/bench.sh: re-records the six BENCH_*.json
+#                        files (worker scaling, observability overhead,
+#                        RSIX cold start/append, chain verification,
+#                        landscape agreement matrix, serve load test) and
+#                        checks the seven speed gates in its gate table
+#                        (skip with ROOTSTORE_SKIP_BENCH=1)
 #   7. coverage          gcov build + full suite, enforcing the src/ line
 #                        coverage floor in tools/coverage_baseline.txt
 #                        (skip with ROOTSTORE_SKIP_COVERAGE=1)
@@ -111,16 +97,8 @@ echo "=== [5/7] clang-tidy ==="
 if [ "${ROOTSTORE_SKIP_BENCH:-0}" = "1" ]; then
   echo "=== [6/7] benches: SKIPPED (ROOTSTORE_SKIP_BENCH=1) ==="
 else
-  echo "=== [6/7] benches -> BENCH_parallel/obs/serve/incremental/verify/landscape.json ==="
-  cmake --build "$repo_root/build" -j "$jobs" --target perf_analysis \
-        --target perf_persist --target perf_verify --target perf_landscape \
-        --target rootstore --target serve_loadgen
-  "$repo_root/tools/record_parallel_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_obs_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_serve_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_incremental_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_verify_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_landscape_bench.sh" "$repo_root/build"
+  echo "=== [6/7] benches (tools/bench.sh) ==="
+  "$repo_root/tools/bench.sh" "$repo_root/build"
 fi
 
 if [ "${ROOTSTORE_SKIP_COVERAGE:-0}" = "1" ]; then
