@@ -23,6 +23,7 @@
 #include "src/formats/certdata.h"
 #include "src/formats/jks.h"
 #include "src/formats/pem_bundle.h"
+#include "src/formats/portable.h"
 #include "src/query/index_io.h"
 #include "src/query/request.h"
 #include "src/query/trust_index.h"
@@ -33,6 +34,7 @@
 #include "src/store/snapshot.h"
 #include "src/store/trust.h"
 #include "src/util/date.h"
+#include "src/util/hex.h"
 #include "src/x509/builder.h"
 
 namespace {
@@ -237,6 +239,36 @@ int main(int argc, char** argv) {
     alias_overflow.push_back('a');
     write_seed(dir, "alias-overflow.jks", sign_jks(std::move(alias_overflow)));
     write_seed(dir, "empty.jks", Bytes{});
+  }
+
+  // --- rsts: the dataset snapshot format --------------------------------
+  {
+    const fs::path dir = root / "rsts";
+    const std::string store = rs::formats::write_rsts(entries);
+    write_seed(dir, "store.rsts", store);
+    // Replaces the sha256 pin of the root block that starts at `block`.
+    const auto with_pin = [](std::string doc, std::size_t block,
+                             const rs::store::TrustEntry& owner) {
+      const std::size_t start = doc.find("sha256 ", block) + 7;
+      doc.replace(start, doc.find('\n', start) - start,
+                  rs::util::hex_encode(owner.certificate->sha256()));
+      return doc;
+    };
+    // The same certificate twice: the second copy reuses the first decode
+    // and carries another root's pin, so it must be rejected.
+    const std::string twice =
+        rs::formats::write_rsts({entries[0], entries[0]});
+    write_seed(dir, "repeat-lying-pin.rsts",
+               with_pin(twice, twice.rfind("root\n"), entries[1]));
+    // Two different certificates under the first one's pin.
+    write_seed(dir, "duplicate-pin.rsts",
+               with_pin(store, store.find("root\n", store.find("root\n") + 1),
+                        entries[0]));
+    std::string bad_base64 = store;
+    bad_base64[bad_base64.find("cert ") + 5] = '!';
+    write_seed(dir, "bad-base64.rsts", bad_base64);
+    write_seed(dir, "unterminated.rsts",
+               std::string_view(store).substr(0, store.rfind("end\n")));
   }
 
   // --- persist_load: RSIX trust-index images -----------------------------

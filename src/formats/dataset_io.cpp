@@ -3,7 +3,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 
+#include "src/formats/cert_cache.h"
 #include "src/formats/instrument.h"
 #include "src/formats/portable.h"
 #include "src/util/strings.h"
@@ -26,6 +28,18 @@ Result<std::monostate> write_file(const fs::path& path,
                                        path.string());
   }
   return std::monostate{};
+}
+
+/// The whole file in one sized read; nullopt if it cannot be read.
+std::optional<std::string> read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) return std::nullopt;
+  std::string content(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(content.data(), static_cast<std::streamsize>(content.size()));
+  if (!in) return std::nullopt;
+  return content;
 }
 
 }  // namespace
@@ -68,18 +82,19 @@ Result<std::monostate> write_dataset(const rs::store::StoreDatabase& db,
 Result<rs::store::StoreDatabase> load_dataset(const std::string& dir) {
   rs::obs::Span span("formats/dataset");
   using Out = Result<rs::store::StoreDatabase>;
-  std::ifstream manifest_in(fs::path(dir) / "MANIFEST", std::ios::binary);
-  if (!manifest_in) {
+  const auto manifest = read_file(fs::path(dir) / "MANIFEST");
+  if (!manifest) {
     return Out::err("dataset: missing MANIFEST in " + dir);
   }
-  const std::string manifest(std::istreambuf_iterator<char>(manifest_in),
-                             std::istreambuf_iterator<char>{});
-  const auto lines = rs::util::split_lines(manifest);
+  const auto lines = rs::util::split_lines(*manifest);
   if (lines.empty() || rs::util::trim(lines[0]) != kManifestHeader) {
     return Out::err("dataset: MANIFEST missing 'RSDS 1' header");
   }
 
   std::map<std::string, rs::store::ProviderHistory> histories;
+  // Snapshots share most of their roots: each distinct cert line is decoded
+  // once per load, every copy points at the same Certificate.
+  detail::CertCache cache;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const auto line = rs::util::trim(lines[i]);
     if (line.empty() || line.front() == '#') continue;
@@ -95,11 +110,11 @@ Result<rs::store::StoreDatabase> load_dataset(const std::string& dir) {
                       std::to_string(i + 1));
     }
     const fs::path path = fs::path(dir) / std::string(fields[3]);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Out::err("dataset: missing snapshot file " + path.string());
-    const std::string content(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>{});
-    auto parsed = parse_rsts(content);
+    const auto content = read_file(path);
+    if (!content) {
+      return Out::err("dataset: missing snapshot file " + path.string());
+    }
+    auto parsed = detail::parse_rsts_cached(*content, cache);
     if (!parsed) {
       return Out::err("dataset: " + path.string() + ": " + parsed.error());
     }

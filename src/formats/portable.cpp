@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "src/encoding/base64.h"
+#include "src/formats/cert_cache.h"
 #include "src/formats/instrument.h"
 #include "src/util/hex.h"
 #include "src/util/strings.h"
@@ -71,7 +72,15 @@ std::string write_rsts(const std::vector<TrustEntry>& entries) {
 
 namespace {
 
-Result<ParsedStore> parse_rsts_impl(std::string_view text) {
+/// Certificates one parse decoded from DER and took from the cache.
+struct DecodeCounts {
+  std::size_t decoded = 0;
+  std::size_t reused = 0;
+};
+
+Result<ParsedStore> parse_rsts_impl(std::string_view text,
+                                    detail::CertCache& cache,
+                                    DecodeCounts& counts) {
   const auto lines = rs::util::split_lines(text);
   std::size_t i = 0;
 
@@ -115,7 +124,9 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
     // One root block.
     std::string label;
     std::string sha256_hex;
+    std::string_view cert_text;
     std::vector<std::uint8_t> der;
+    std::shared_ptr<const rs::x509::Certificate> cached;
     bool der_ok = false;
     TrustEntry entry;
     bool closed = false;
@@ -138,14 +149,21 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
       } else if (key == "sha256" && tokens.size() == 2) {
         sha256_hex = rs::util::to_lower(tokens[1]);
       } else if (key == "cert" && tokens.size() == 2) {
-        auto decoded = rs::encoding::base64_decode(tokens[1]);
-        if (!decoded) {
+        // A cache hit skips base64 and DER decoding; the pin is still
+        // checked below.
+        if (const auto hit = cache.find(tokens[1]); hit != cache.end()) {
+          ++counts.reused;
+          cached = hit->second;
+          der_ok = true;
+        } else if (auto decoded = rs::encoding::base64_decode(tokens[1])) {
+          cert_text = tokens[1];
+          der = std::move(*decoded);
+          cached = nullptr;
+          der_ok = true;
+        } else {
           out.warnings.push_back("rsts: bad base64 in cert at line " +
                                  std::to_string(i + 1));
           entry_bad = true;
-        } else {
-          der = std::move(*decoded);
-          der_ok = true;
         }
       } else if (key == "trust" && tokens.size() >= 3) {
         const auto purpose = parse_purpose(tokens[1]);
@@ -194,19 +212,26 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
                              (label.empty() ? "" : " (" + label + ")"));
       continue;
     }
-    auto cert = rs::x509::Certificate::parse(der);
-    if (!cert) {
-      out.warnings.push_back("rsts: undecodable certificate skipped: " +
-                             cert.error());
-      continue;
+    if (!cached) {
+      auto cert = rs::x509::Certificate::parse(der);
+      if (!cert) {
+        out.warnings.push_back("rsts: undecodable certificate skipped: " +
+                               cert.error());
+        continue;
+      }
+      ++counts.decoded;
+      cached =
+          std::make_shared<const rs::x509::Certificate>(std::move(cert).take());
+      cache.emplace(cert_text, cached);
     }
-    if (rs::util::hex_encode(cert.value().sha256()) != sha256_hex) {
+    // Checked on every entry: a cached certificate is reused only under a
+    // pin that matches it.
+    if (rs::util::hex_encode(cached->sha256()) != sha256_hex) {
       out.warnings.push_back("rsts: sha256 pin mismatch, entry rejected" +
                              (label.empty() ? "" : " (" + label + ")"));
       continue;
     }
-    entry.certificate =
-        std::make_shared<const rs::x509::Certificate>(std::move(cert).take());
+    entry.certificate = std::move(cached);
     out.entries.push_back(std::move(entry));
   }
   return out;
@@ -214,11 +239,18 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
 
 }  // namespace
 
-Result<ParsedStore> parse_rsts(std::string_view text) {
+Result<ParsedStore> detail::parse_rsts_cached(std::string_view text,
+                                              CertCache& cache) {
   rs::obs::Span span("formats/rsts");
-  auto result = parse_rsts_impl(text);
-  detail::note_parse(span, text.size(), result);
+  DecodeCounts counts;
+  auto result = parse_rsts_impl(text, cache, counts);
+  detail::note_parse(span, text.size(), result, counts.decoded, counts.reused);
   return result;
+}
+
+Result<ParsedStore> parse_rsts(std::string_view text) {
+  detail::CertCache cache;
+  return detail::parse_rsts_cached(text, cache);
 }
 
 }  // namespace rs::formats

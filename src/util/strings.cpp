@@ -7,7 +7,9 @@
 namespace rs::util {
 
 namespace {
-bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+// The "C" locale's std::isspace set (space, \t \n \v \f \r) without the
+// per-byte locale lookup.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 char lower(char c) {
   return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }

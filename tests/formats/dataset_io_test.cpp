@@ -4,9 +4,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 
 #include "src/synth/simulator.h"
+#include "src/util/hex.h"
 #include "src/x509/builder.h"
 
 namespace rs::formats {
@@ -172,6 +175,69 @@ TEST_F(DatasetIoTest, SimulatedEcosystemRoundTrips) {
   const auto* back = loaded.value().find("Prog0");
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(orig->back().all_fingerprints(), back->back().all_fingerprints());
+}
+
+TEST_F(DatasetIoTest, LyingPinInLaterSnapshotFailsLoad) {
+  // cert(1) is decoded in ProvA's first snapshot, so its copy in the second
+  // snapshot is a cache hit; a pin naming cert(2) there must still fail.
+  const StoreDatabase db = small_db();
+  ASSERT_TRUE(write_dataset(db, dir_.string()).ok());
+  const fs::path later = dir_ / "ProvA" / "2020-06-01.rsts";
+  std::string doc;
+  {
+    std::ifstream in(later, std::ios::binary);
+    doc.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto& second = db.find("ProvA")->snapshots()[1].entries;
+  const std::string pin1 = rs::util::hex_encode(second[0].certificate->sha256());
+  const std::string pin2 = rs::util::hex_encode(second[1].certificate->sha256());
+  const std::size_t at = doc.find(pin1);
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, pin1.size(), pin2);
+  std::ofstream(later, std::ios::binary | std::ios::trunc) << doc;
+
+  auto loaded = load_dataset(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().find("sha256 pin mismatch"), std::string::npos)
+      << loaded.error();
+}
+
+TEST_F(DatasetIoTest, EachDistinctCertificateDecodedOnce) {
+  rs::synth::SimulatorConfig cfg;
+  cfg.seed = 78;
+  cfg.ca_count = 30;
+  cfg.program_count = 2;
+  cfg.derivative_count = 2;
+  cfg.snapshot_interval_days = 365;
+  const auto eco = rs::synth::simulate_ecosystem(cfg);
+  ASSERT_TRUE(write_dataset(eco.database, dir_.string()).ok());
+  auto loaded = load_dataset(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+
+  std::map<rs::crypto::Sha256Digest, std::set<const rs::x509::Certificate*>>
+      objects;
+  std::size_t copies = 0;
+  for (const auto& [name, history] : loaded.value().histories()) {
+    for (const auto& snap : history.snapshots()) {
+      for (const auto& e : snap.entries) {
+        objects[e.certificate->sha256()].insert(e.certificate.get());
+        ++copies;
+      }
+    }
+  }
+  ASSERT_GT(copies, objects.size());  // the dataset does repeat roots
+  for (const auto& [digest, ptrs] : objects) {
+    ASSERT_EQ(ptrs.size(), 1u) << rs::util::hex_encode(digest);
+    const rs::x509::Certificate& shared = **ptrs.begin();
+    auto fresh = rs::x509::Certificate::parse(shared.der());
+    ASSERT_TRUE(fresh.ok()) << fresh.error();
+    EXPECT_EQ(fresh.value(), shared);
+    EXPECT_EQ(fresh.value().sha256(), shared.sha256());
+    EXPECT_EQ(fresh.value().sha1(), shared.sha1());
+    EXPECT_EQ(fresh.value().md5(), shared.md5());
+    EXPECT_EQ(fresh.value().subject(), shared.subject());
+    EXPECT_EQ(fresh.value().validity(), shared.validity());
+  }
 }
 
 }  // namespace

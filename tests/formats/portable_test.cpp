@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/hex.h"
 #include "src/util/strings.h"
 #include "src/x509/builder.h"
 
@@ -99,6 +100,75 @@ TEST(Rsts, Sha256PinRejectsSubstitutedCert) {
   EXPECT_TRUE(parsed.value().entries.empty());
   ASSERT_FALSE(parsed.value().warnings.empty());
   EXPECT_NE(parsed.value().warnings[0].find("pin mismatch"),
+            std::string::npos);
+}
+
+// Replaces the first `sha256` line at or after `from` with `pin`.
+void set_pin(std::string& doc, std::size_t from, const std::string& pin) {
+  const std::size_t start = doc.find("sha256 ", from) + 7;
+  doc.replace(start, doc.find('\n', start) - start, pin);
+}
+
+std::string pin_of(const TrustEntry& e) {
+  return rs::util::hex_encode(e.certificate->sha256());
+}
+
+TEST(Rsts, RepeatedCertSharesOneDecodedObject) {
+  const std::vector<TrustEntry> entries = {rich_entry(20), rich_entry(21),
+                                           rich_entry(20)};
+  auto parsed = parse_rsts(write_rsts(entries));
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  ASSERT_TRUE(parsed.value().warnings.empty());
+  const auto& back = parsed.value().entries;
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[0].certificate.get(), back[2].certificate.get());
+  EXPECT_NE(back[0].certificate.get(), back[1].certificate.get());
+  EXPECT_EQ(*back[2].certificate, *entries[2].certificate);
+}
+
+TEST(Rsts, CacheHitWithWrongPinIsRejected) {
+  // The second copy of the certificate is a cache hit; its pin names
+  // another certificate, so the hit must not be accepted.
+  const TrustEntry a = rich_entry(22);
+  std::string doc = write_rsts({a, a});
+  set_pin(doc, doc.rfind("root\n"), pin_of(rich_entry(23)));
+  auto parsed = parse_rsts(doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  ASSERT_EQ(parsed.value().entries.size(), 1u);
+  EXPECT_EQ(*parsed.value().entries[0].certificate, *a.certificate);
+  ASSERT_EQ(parsed.value().warnings.size(), 1u);
+  EXPECT_NE(parsed.value().warnings[0].find("sha256 pin mismatch"),
+            std::string::npos);
+}
+
+TEST(Rsts, LyingPinOnFirstCopyDoesNotPoisonLaterCopies) {
+  // The first copy is decoded and rejected; the second, correctly pinned,
+  // reuses that decode and is accepted.
+  const TrustEntry a = rich_entry(24);
+  std::string doc = write_rsts({a, a});
+  set_pin(doc, 0, pin_of(rich_entry(25)));
+  auto parsed = parse_rsts(doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  ASSERT_EQ(parsed.value().entries.size(), 1u);
+  EXPECT_EQ(*parsed.value().entries[0].certificate, *a.certificate);
+  ASSERT_EQ(parsed.value().warnings.size(), 1u);
+  EXPECT_NE(parsed.value().warnings[0].find("sha256 pin mismatch"),
+            std::string::npos);
+}
+
+TEST(Rsts, DuplicatePinOverDifferentDerIsRejected) {
+  // Two entries claim the same pin; only the certificate it belongs to
+  // is accepted.
+  const TrustEntry a = rich_entry(26);
+  const TrustEntry b = rich_entry(27);
+  std::string doc = write_rsts({a, b});
+  set_pin(doc, doc.rfind("root\n"), pin_of(a));
+  auto parsed = parse_rsts(doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  ASSERT_EQ(parsed.value().entries.size(), 1u);
+  EXPECT_EQ(*parsed.value().entries[0].certificate, *a.certificate);
+  ASSERT_EQ(parsed.value().warnings.size(), 1u);
+  EXPECT_NE(parsed.value().warnings[0].find("sha256 pin mismatch"),
             std::string::npos);
 }
 

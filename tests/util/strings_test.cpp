@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <clocale>
+#include <string>
+
 namespace rs::util {
 namespace {
 
@@ -47,6 +51,22 @@ TEST(SplitWs, NeverYieldsEmpty) {
   EXPECT_EQ(t[0], "a");
   EXPECT_EQ(t[2], "c");
   EXPECT_TRUE(split_ws("   ").empty());
+}
+
+TEST(Whitespace, MatchesCLocaleIsspaceForEveryByte) {
+  // No code in the program calls setlocale, so the "C" locale's isspace is
+  // the reference trim and split_ws must agree with, byte for byte.
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool space = std::isspace(b) != 0;
+    const std::string alone(1, c);
+    EXPECT_EQ(trim(alone).empty(), space) << "byte " << b;
+    const std::string between = std::string("x") + c + "y";
+    EXPECT_EQ(split_ws(between).size(), space ? 2u : 1u) << "byte " << b;
+    EXPECT_EQ(trim(std::string("x") + c), space ? "x" : between.substr(0, 2))
+        << "byte " << b;
+  }
 }
 
 TEST(Affixes, StartsEndsWith) {
