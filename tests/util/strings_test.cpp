@@ -62,9 +62,9 @@ TEST(Whitespace, MatchesCLocaleIsspaceForEveryByte) {
     const bool space = std::isspace(b) != 0;
     const std::string alone(1, c);
     EXPECT_EQ(trim(alone).empty(), space) << "byte " << b;
-    const std::string between = std::string("x") + c + "y";
-    EXPECT_EQ(split_ws(between).size(), space ? 2u : 1u) << "byte " << b;
-    EXPECT_EQ(trim(std::string("x") + c), space ? "x" : between.substr(0, 2))
+    const std::string trailing = std::string("x") + c;
+    EXPECT_EQ(trim(trailing), space ? "x" : trailing) << "byte " << b;
+    EXPECT_EQ(split_ws(trailing + "y").size(), space ? 2u : 1u)
         << "byte " << b;
   }
 }
