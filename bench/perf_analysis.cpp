@@ -115,21 +115,22 @@ BENCHMARK(BM_MdsSmacofParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // loop, and the staleness/diff series on the dense-ID popcount engine.
 // intern_equivalence_tests pins their results to the sorted-merge referee.
 
-const rs::store::CertInterner& shared_interner() {
-  static const rs::store::CertInterner interner =
-      rs::store::CertInterner::from_database(shared_scenario().database());
+const std::shared_ptr<const rs::store::CertInterner>& shared_interner() {
+  static const auto interner = std::make_shared<const rs::store::CertInterner>(
+      rs::store::CertInterner::from_database(shared_scenario().database()));
   return interner;
 }
 
 void BM_JaccardMatrixInterned(benchmark::State& state) {
   const auto& scenario = shared_scenario();
-  const auto& interner = shared_interner();  // built once, as in the study
+  // Built once, as in the study.
+  const auto* interner = shared_interner().get();
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts,
-                                             nullptr, &interner);
+                                             nullptr, interner);
     benchmark::DoNotOptimize(dist.values.data());
     state.counters["snapshots"] = static_cast<double>(dist.size());
   }
@@ -157,11 +158,11 @@ void BM_JaccardPairLoop(benchmark::State& state) {
   opts.max_per_provider = 40;
   // Reuse matrix selection to fetch the snapshot list deterministically.
   const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
-  std::vector<rs::store::InternedSet> interned;
+  std::vector<rs::store::IdSet> interned;
   for (const auto& label : dist.labels) {
     const auto& snap =
         scenario.database().find(label.provider)->snapshots()[label.provider_index];
-    interned.push_back(shared_interner().intern(snap.all_fingerprints()));
+    interned.push_back(shared_interner()->intern(snap.all_fingerprints()));
   }
   for (auto _ : state) {
     double sum = 0.0;
@@ -180,7 +181,7 @@ BENCHMARK(BM_JaccardPairLoop)->Unit(benchmark::kMillisecond);
 void BM_StalenessEngines(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto* nss = scenario.database().find("NSS");
-  const auto index = rs::analysis::build_version_index(*nss);
+  const auto index = rs::analysis::build_version_index(*nss, shared_interner());
   for (auto _ : state) {
     double total = 0;
     for (const char* name :
@@ -197,7 +198,7 @@ BENCHMARK(BM_StalenessEngines)->Unit(benchmark::kMillisecond);
 void BM_DiffSeriesEngines(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto* nss = scenario.database().find("NSS");
-  const auto index = rs::analysis::build_version_index(*nss);
+  const auto index = rs::analysis::build_version_index(*nss, shared_interner());
   for (auto _ : state) {
     std::size_t points = 0;
     for (const char* name :
@@ -281,7 +282,7 @@ void BM_VersionIndexBuild(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto* nss = scenario.database().find("NSS");
   for (auto _ : state) {
-    auto index = rs::analysis::build_version_index(*nss);
+    auto index = rs::analysis::build_version_index(*nss, shared_interner());
     benchmark::DoNotOptimize(index.size());
   }
 }
@@ -339,7 +340,7 @@ BENCHMARK(BM_OperatorFootprints)->Unit(benchmark::kMillisecond);
 
 void BM_JaccardMatrixObs(benchmark::State& state) {
   const auto& scenario = shared_scenario();
-  const auto& interner = shared_interner();
+  const auto* interner = shared_interner().get();
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = 40;
@@ -351,7 +352,7 @@ void BM_JaccardMatrixObs(benchmark::State& state) {
     // the enabled arm by design (a traced run pays for its bookkeeping).
     if (traced) reg.reset();
     auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts,
-                                             nullptr, &interner);
+                                             nullptr, interner);
     benchmark::DoNotOptimize(dist.values.data());
     state.counters["snapshots"] = static_cast<double>(dist.size());
   }
@@ -367,7 +368,8 @@ BENCHMARK(BM_JaccardMatrixObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_StalenessObs(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto index =
-      rs::analysis::build_version_index(*scenario.database().find("NSS"));
+      rs::analysis::build_version_index(*scenario.database().find("NSS"),
+                                        shared_interner());
   auto& reg = rs::obs::Registry::global();
   const bool traced = state.range(0) == 1;
   if (traced) reg.enable();
@@ -394,7 +396,8 @@ BENCHMARK(BM_StalenessObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_StalenessAllDerivatives(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto index =
-      rs::analysis::build_version_index(*scenario.database().find("NSS"));
+      rs::analysis::build_version_index(*scenario.database().find("NSS"),
+                                        shared_interner());
   for (auto _ : state) {
     double total = 0;
     for (const char* name :

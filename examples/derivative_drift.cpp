@@ -5,6 +5,7 @@
 // Reproduces the §6 per-provider view: every snapshot's matched NSS
 // substantial version, staleness, and diff categories.
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "src/analysis/diffs.h"
@@ -27,7 +28,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto index = rs::analysis::build_version_index(*nss);
+  const auto index = rs::analysis::build_version_index(
+      *nss, std::make_shared<const rs::store::CertInterner>(
+                rs::store::CertInterner::from_database(scenario.database())));
   const auto staleness = rs::analysis::derivative_staleness(*deriv, index);
   const auto diffs = rs::analysis::derivative_diffs(*deriv, *nss, index);
 

@@ -269,6 +269,16 @@ int main(int argc, char** argv) {
     write_seed(dir, "bad-base64.rsts", bad_base64);
     write_seed(dir, "unterminated.rsts",
                std::string_view(store).substr(0, store.rfind("end\n")));
+    // A common name with a line break: the label must stay one line.
+    rs::x509::Name name;
+    name.add_common_name("Line One\nLine Two");
+    write_seed(dir, "control-label.rsts",
+               rs::formats::write_rsts({rs::store::make_tls_anchor(
+                   std::make_shared<const rs::x509::Certificate>(
+                       rs::x509::CertificateBuilder()
+                           .subject(name)
+                           .key_seed(7100)
+                           .build()))}));
   }
 
   // --- persist_load: RSIX trust-index images -----------------------------

@@ -63,13 +63,10 @@ struct DerivativeDiffSeries {
 };
 
 /// Computes the series.  `nss` supplies the ever-present / ever-TLS sets
-/// used for categorization; `index` the substantial versions to match.
-/// Snapshots diff independently, so `pool` parallelizes the per-snapshot
-/// matching and categorization; points stay in snapshot order and the
-/// result is identical for any worker count.
+/// used for categorization; `index` the substantial versions to match (its
+/// interner must cover `nss` and `deriv`).  Points stay in snapshot order.
 DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
                                       const rs::store::ProviderHistory& nss,
-                                      const NssVersionIndex& index,
-                                      rs::exec::ThreadPool* pool = nullptr);
+                                      const NssVersionIndex& index);
 
 }  // namespace rs::analysis

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "src/landscape/presence.h"
-#include "src/store/fingerprint_set.h"
 #include "src/store/id_set.h"
 
 namespace rs::analysis {
@@ -11,64 +10,24 @@ namespace rs::analysis {
 std::vector<ExclusiveSet> exclusive_roots(
     const rs::store::StoreDatabase& db,
     const std::vector<std::string>& programs,
-    const rs::store::CertInterner* interner) {
+    const rs::store::CertInterner& interner) {
   // Candidates: each program's latest TLS anchors.  Held: each program's
   // ever-TLS-trusted set.  The landscape presence-vector primitive then
   // answers "latest \ union of the others' ever" for every program in one
   // prefix/suffix union pass (docs/LANDSCAPE.md).
-  struct ProgramSets {
-    std::string name;
-    rs::store::FingerprintSet ever;
-    rs::store::FingerprintSet latest;
-  };
-  std::vector<ProgramSets> sets;
+  std::vector<std::string> names;
+  std::vector<rs::store::IdSet> candidates;
+  std::vector<rs::store::IdSet> held;
   for (const auto& name : programs) {
     const auto* history = db.find(name);
     if (history == nullptr || history->empty()) continue;
-    ProgramSets ps;
-    ps.name = name;
-    ps.ever = db.tls_roots_ever(name);
-    ps.latest = history->back().tls_anchors();
-    sets.push_back(std::move(ps));
-  }
-
-  // The primitive needs every digest representable as a dense ID.  The
-  // study passes its database-wide interner (always complete); callers
-  // with no interner — or a partial one — get a local universe built from
-  // exactly the sets involved, so results are identical either way.
-  rs::store::CertInterner local;
-  const rs::store::CertInterner* universe = interner;
-  const auto fully_mapped = [&](const rs::store::FingerprintSet& fps) {
-    return interner != nullptr && interner->intern(fps).unmapped.empty();
-  };
-  bool complete = interner != nullptr;
-  for (const auto& ps : sets) {
-    if (!complete) break;
-    complete = fully_mapped(ps.ever) && fully_mapped(ps.latest);
-  }
-  if (!complete) {
-    std::vector<rs::crypto::Sha256Digest> digests;
-    for (const auto& ps : sets) {
-      digests.insert(digests.end(), ps.ever.items().begin(),
-                     ps.ever.items().end());
-      digests.insert(digests.end(), ps.latest.items().begin(),
-                     ps.latest.items().end());
-    }
-    local = rs::store::CertInterner(std::move(digests));
-    universe = &local;
-  }
-
-  std::vector<rs::store::IdSet> candidates;
-  std::vector<rs::store::IdSet> held;
-  candidates.reserve(sets.size());
-  held.reserve(sets.size());
-  for (const auto& ps : sets) {
-    candidates.push_back(universe->intern(ps.latest).ids);
-    held.push_back(universe->intern(ps.ever).ids);
+    names.push_back(name);
+    candidates.push_back(interner.intern(history->back().tls_anchors()));
+    held.push_back(interner.intern(db.tls_roots_ever(name)));
   }
   std::vector<const rs::store::IdSet*> candidate_views;
   std::vector<const rs::store::IdSet*> held_views;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
     candidate_views.push_back(&candidates[i]);
     held_views.push_back(&held[i]);
   }
@@ -76,14 +35,14 @@ std::vector<ExclusiveSet> exclusive_roots(
       rs::landscape::exclusive_sets(candidate_views, held_views);
 
   std::vector<ExclusiveSet> out;
-  out.reserve(sets.size());
-  for (std::size_t i = 0; i < sets.size(); ++i) {
+  out.reserve(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
     ExclusiveSet ex;
-    ex.program = sets[i].name;
+    ex.program = names[i];
     // IdSet::ids() ascends in sorted-digest order, matching the sorted
     // FingerprintSet iteration the previous implementation used — the
     // golden Table 6 bytes are pinned on it.
-    ex.roots = universe->materialize(exclusive[i]).items();
+    ex.roots = interner.materialize(exclusive[i]).items();
     out.push_back(std::move(ex));
   }
   return out;

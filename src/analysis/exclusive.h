@@ -21,12 +21,11 @@ struct ExclusiveSet {
 
 /// Computes exclusive roots among `programs` (typically the four
 /// independent programs).  Providers absent from the database are skipped.
-/// With an `interner` (EcosystemStudy passes its database-wide one), the
-/// per-program "ever trusted" sets accumulate as bitsets and membership
-/// checks are bit probes; results are identical either way.
+/// `interner` covers `db` (EcosystemStudy passes its own): the latest and
+/// ever-trusted sets are interned and compared as bitsets.
 std::vector<ExclusiveSet> exclusive_roots(
     const rs::store::StoreDatabase& db,
     const std::vector<std::string>& programs,
-    const rs::store::CertInterner* interner = nullptr);
+    const rs::store::CertInterner& interner);
 
 }  // namespace rs::analysis

@@ -73,10 +73,8 @@ DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
 
   // Dense IDs + packed bitsets, so each pair costs a few popcounts per
   // cache line instead of a 32-bytes-per-element merge.  A caller-provided
-  // interner (built once per database) is reused; else intern the database
-  // here.  Digests outside the universe are carried in
-  // InternedSet::unmapped and corrected exactly, so any interner yields the
-  // same matrix.
+  // interner (built once per database, so it covers every snapshot) is
+  // reused; else intern the database here.
   rs::store::CertInterner local;
   if (interner == nullptr) {
     local = rs::store::CertInterner::from_database(db);
@@ -85,7 +83,7 @@ DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
 
   // Phase 2 (parallel): intern each snapshot's fingerprint set exactly once
   // (read-only on the shared interner).
-  std::vector<rs::store::InternedSet> sets(n);
+  std::vector<rs::store::IdSet> sets(n);
   {
     rs::obs::Span span("jaccard/sets");
     span.set_items(n);

@@ -68,11 +68,11 @@ struct JaccardOptions {
 /// Builds the pairwise Jaccard distance matrix over `db`'s snapshots.
 /// `pool` parallelizes set materialization and the pair loop; null (or a
 /// zero-worker pool) computes inline serially with identical results.
-/// `interner` supplies a prebuilt certificate universe (EcosystemStudy
+/// `interner` supplies a prebuilt interner over `db` (EcosystemStudy
 /// builds one per database); when null the matrix interns `db` itself.
-/// Matrices are bit-identical across interners and worker counts, and to
-/// a sorted-merge computation over the same fingerprint sets (the referee
-/// in tests/analysis/merge_referee.h).
+/// Matrices are bit-identical across worker counts, and to a sorted-merge
+/// computation over the same fingerprint sets (the referee in
+/// tests/analysis/merge_referee.h).
 DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
                               const JaccardOptions& options = {},
                               rs::exec::ThreadPool* pool = nullptr,

@@ -7,7 +7,6 @@
 
 namespace rs::analysis {
 
-using rs::store::CertInterner;
 using rs::store::FingerprintSet;
 using rs::util::Date;
 
@@ -75,16 +74,11 @@ NssVersionIndex build_version_index(
     const rs::store::ProviderHistory& nss,
     std::shared_ptr<const rs::store::CertInterner> interner) {
   rs::obs::Span span("staleness/version_index");
-  if (interner == nullptr) {
-    interner =
-        std::make_shared<const CertInterner>(CertInterner::from_history(nss));
-  }
   return NssVersionIndex(substantial_versions(nss), std::move(interner));
 }
 
 StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
-                                     const NssVersionIndex& index,
-                                     rs::exec::ThreadPool* pool) {
+                                     const NssVersionIndex& index) {
   rs::obs::Span stage_span("staleness/derivative");
   StalenessResult out;
   out.provider = deriv.provider();
@@ -94,15 +88,11 @@ StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
       .counter("analysis.staleness_matches")
       .add(deriv.size());
 
-  // Each snapshot matches against the read-only index independently;
-  // per-snapshot slots keep the points in snapshot order.
-  const auto& snaps = deriv.snapshots();
-  std::vector<std::optional<StalenessPoint>> samples(snaps.size());
-  rs::exec::parallel_for(pool, snaps.size(), [&](std::size_t k) {
-    const auto& snap = snaps[k];
+  out.always_stale = true;
+  for (const auto& snap : deriv.snapshots()) {
     const auto* matched = index.closest_match(snap.tls_anchors());
     const auto* current = index.current_at(snap.date);
-    if (matched == nullptr || current == nullptr) return;
+    if (matched == nullptr || current == nullptr) continue;
     StalenessPoint p;
     p.date = snap.date;
     p.matched_version = matched->index;
@@ -111,14 +101,8 @@ StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
         matched->index >= current->index
             ? 0.0
             : static_cast<double>(current->index - matched->index);
-    samples[k] = p;
-  });
-
-  out.always_stale = true;
-  for (const auto& p : samples) {
-    if (!p) continue;
-    if (p->versions_behind == 0.0) out.always_stale = false;
-    out.points.push_back(*p);
+    if (p.versions_behind == 0.0) out.always_stale = false;
+    out.points.push_back(p);
   }
 
   // Time-weighted integral (piecewise-constant between samples).

@@ -9,11 +9,9 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/exec/thread_pool.h"
 #include "src/store/fingerprint_set.h"
 #include "src/store/interner.h"
 #include "src/store/snapshot.h"
@@ -27,6 +25,8 @@ namespace rs::analysis {
 /// closest_match scans via popcount instead of digest merges — same exact
 /// cardinalities, so the matched version is identical (see
 /// docs/INTERNING.md and the referee in tests/analysis/merge_referee.h).
+/// The interner must cover every set the index meets: the NSS history and
+/// each derivative matched against it.
 class NssVersionIndex {
  public:
   struct Version {
@@ -35,7 +35,7 @@ class NssVersionIndex {
     std::string label;      // snapshot version string
     rs::store::FingerprintSet tls_anchors;
     /// Interned form of tls_anchors.
-    rs::store::InternedSet tls_interned;
+    rs::store::IdSet tls_interned;
   };
 
   /// Interns every version's TLS set up front.  `interner` must not be
@@ -56,7 +56,8 @@ class NssVersionIndex {
   const Version* current_at(rs::util::Date when) const;
 
   /// The version whose TLS set is Jaccard-closest to `anchors`
-  /// (ties broken toward the earlier version).  nullptr if empty.
+  /// (ties broken toward the earlier version).  nullptr if empty.  Throws
+  /// std::out_of_range if `anchors` leaves the interner's universe.
   const Version* closest_match(const rs::store::FingerprintSet& anchors) const;
 
  private:
@@ -66,13 +67,11 @@ class NssVersionIndex {
 
 /// Extracts substantial versions from the NSS history: the first snapshot
 /// plus every snapshot whose TLS-anchor set differs from its predecessor.
-/// `interner` fixes the dense-ID universe (EcosystemStudy passes its
-/// database-wide one); null interns the NSS history itself.  Digests
-/// outside the universe are corrected exactly, so every choice produces
-/// identical analysis results.
+/// `interner` fixes the dense-ID universe: an interner over the database
+/// holding NSS and its derivatives (EcosystemStudy passes its own).
 NssVersionIndex build_version_index(
     const rs::store::ProviderHistory& nss,
-    std::shared_ptr<const rs::store::CertInterner> interner = nullptr);
+    std::shared_ptr<const rs::store::CertInterner> interner);
 
 /// One derivative snapshot's staleness sample.
 struct StalenessPoint {
@@ -92,11 +91,9 @@ struct StalenessResult {
   bool always_stale = false;
 };
 
-/// Computes the staleness series.  Snapshots are independent, so `pool`
-/// parallelizes the per-snapshot version matching; points stay in snapshot
-/// order and the result is identical for any worker count.
+/// Computes the staleness series, one point per matched snapshot in
+/// snapshot order.
 StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
-                                     const NssVersionIndex& index,
-                                     rs::exec::ThreadPool* pool = nullptr);
+                                     const NssVersionIndex& index);
 
 }  // namespace rs::analysis

@@ -15,13 +15,14 @@ namespace rs::core {
 
 using rs::util::fmt_double;
 
-std::string figure1_csv(rs::synth::PaperScenario& scenario,
+std::string figure1_csv(const EcosystemStudy& study,
                         std::size_t max_per_provider) {
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = max_per_provider;
-  const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
-  const auto mds = rs::analysis::smacof_mds(dist);
+  const auto dist = rs::analysis::jaccard_matrix(
+      study.database(), opts, study.pool(), study.interner().get());
+  const auto mds = rs::analysis::smacof_mds(dist, {}, study.pool());
   const auto clustering = rs::analysis::cluster_snapshots(dist, 0.35);
 
   std::string out = "provider,family,date,version,x,y,cluster\n";
@@ -38,15 +39,15 @@ std::string figure1_csv(rs::synth::PaperScenario& scenario,
   return out;
 }
 
-std::string figure3_csv(rs::synth::PaperScenario& scenario) {
-  const auto* nss = scenario.database().find("NSS");
+std::string figure3_csv(const EcosystemStudy& study) {
+  const auto* nss = study.database().find("NSS");
   std::string out =
       "provider,date,matched_version,current_version,versions_behind\n";
   if (nss == nullptr) return out;
-  const auto index = rs::analysis::build_version_index(*nss);
+  const auto index = rs::analysis::build_version_index(*nss, study.interner());
   for (const char* name :
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
-    const auto* h = scenario.database().find(name);
+    const auto* h = study.database().find(name);
     if (h == nullptr) continue;
     const auto res = rs::analysis::derivative_staleness(*h, index);
     for (const auto& p : res.points) {
@@ -59,8 +60,8 @@ std::string figure3_csv(rs::synth::PaperScenario& scenario) {
   return out;
 }
 
-std::string figure4_csv(rs::synth::PaperScenario& scenario) {
-  const auto* nss = scenario.database().find("NSS");
+std::string figure4_csv(const EcosystemStudy& study) {
+  const auto* nss = study.database().find("NSS");
   std::string out = "provider,date,matched_version";
   for (std::size_t c = 0; c < rs::analysis::kAddCategoryCount; ++c) {
     out += ",add_" + std::string(rs::analysis::to_string(
@@ -77,10 +78,10 @@ std::string figure4_csv(rs::synth::PaperScenario& scenario) {
     if (ch == ' ') ch = '_';
   }
 
-  const auto index = rs::analysis::build_version_index(*nss);
+  const auto index = rs::analysis::build_version_index(*nss, study.interner());
   for (const char* name :
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
-    const auto* h = scenario.database().find(name);
+    const auto* h = study.database().find(name);
     if (h == nullptr) continue;
     const auto series = rs::analysis::derivative_diffs(*h, *nss, index);
     for (const auto& p : series.points) {
@@ -94,9 +95,9 @@ std::string figure4_csv(rs::synth::PaperScenario& scenario) {
   return out;
 }
 
-std::string churn_csv(rs::synth::PaperScenario& scenario) {
+std::string churn_csv(const EcosystemStudy& study) {
   std::vector<rs::analysis::ChurnSeries> all;
-  for (const auto& [name, history] : scenario.database().histories()) {
+  for (const auto& [name, history] : study.database().histories()) {
     (void)name;
     all.push_back(rs::analysis::churn_series(history));
   }

@@ -207,7 +207,7 @@ std::string EcosystemStudy::report_table6() {
   const std::vector<std::string> programs = {"NSS", "Java", "Apple",
                                              "Microsoft"};
   const auto measured =
-      rs::analysis::exclusive_roots(database(), programs, interner_.get());
+      rs::analysis::exclusive_roots(database(), programs, *interner_);
   const auto reference = rs::synth::paper::table6_counts();
 
   std::string out =
@@ -464,7 +464,7 @@ std::string EcosystemStudy::report_figure3() const {
   for (const auto& ref : reference) {
     const auto* h = database().find(ref.provider);
     if (h == nullptr) continue;
-    auto res = rs::analysis::derivative_staleness(*h, index, pool());
+    auto res = rs::analysis::derivative_staleness(*h, index);
     order.emplace_back(res.avg_versions_behind, ref.provider);
     results.emplace(ref.provider, std::move(res));
   }
@@ -516,7 +516,7 @@ std::string EcosystemStudy::report_figure4() const {
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
     const auto* h = database().find(name);
     if (h == nullptr) continue;
-    const auto series = rs::analysis::derivative_diffs(*h, *nss, index, pool());
+    const auto series = rs::analysis::derivative_diffs(*h, *nss, index);
 
     std::array<std::size_t, rs::analysis::kAddCategoryCount> add_totals{};
     std::array<std::size_t, rs::analysis::kRemoveCategoryCount> rm_totals{};
@@ -615,7 +615,7 @@ std::string EcosystemStudy::report_agreement() {
   const rs::util::Date date = latest_common_date(index);
   const auto view = rs::landscape::presence_at(index, date,
                                               rs::query::Scope::kTls);
-  const auto summary = rs::landscape::agreement_summary(view.sets, pool());
+  const auto summary = rs::landscape::agreement_summary(view.sets);
 
   std::string out = "Landscape: cross-store agreement at " + date.to_string() +
                     " (TLS scope)\n\n";
@@ -667,7 +667,7 @@ std::string EcosystemStudy::report_agreement() {
     const auto at = rs::landscape::presence_at(
         index, rs::util::Date::ymd(y, 1, 1), rs::query::Scope::kTls);
     if (at.providers.empty()) continue;
-    const auto s = rs::landscape::agreement_summary(at.sets, pool());
+    const auto s = rs::landscape::agreement_summary(at.sets);
     series.add_row({std::to_string(y), std::to_string(at.providers.size()),
                     std::to_string(s.union_size),
                     std::to_string(s.intersection_size),
@@ -778,8 +778,9 @@ std::string EcosystemStudy::report_ct_landscape() {
   }
   for (auto& log : logs) db.add(std::move(log));
 
-  const auto interner = rs::store::CertInterner::from_database(db);
-  const auto index = rs::query::TrustIndex::build(db, interner, pool());
+  // generate_ct_log only draws certificates from the scenario database, so
+  // the study's interner covers the logs too and keeps the same IDs.
+  const auto index = rs::query::TrustIndex::build(db, *interner_, pool());
   const rs::util::Date date = latest_common_date(index);
   const auto first_seen =
       rs::landscape::first_seen_tables(index, rs::query::Scope::kTls);

@@ -24,7 +24,7 @@ namespace rs::core {
 /// Execution knobs for a study instance.
 struct StudyOptions {
   /// Worker threads for the analysis hot paths (Jaccard matrix, SMACOF,
-  /// staleness/diff series).  0 = inline serial execution.  Any value
+  /// TrustIndex build).  0 = inline serial execution.  Any value
   /// produces bitwise-identical reports (see docs/PARALLELISM.md).
   std::size_t num_threads = 0;
 };
@@ -49,10 +49,12 @@ class EcosystemStudy {
   /// serially inline in that case.
   rs::exec::ThreadPool* pool() const noexcept { return pool_.get(); }
   /// The database-wide certificate interner, built once at construction
-  /// and threaded through every set-algebra hot path (Jaccard matrix,
-  /// NSS version index, exclusive roots).  See docs/INTERNING.md.
-  const rs::store::CertInterner& interner() const noexcept {
-    return *interner_;
+  /// and threaded through every set-algebra path (Jaccard matrix, NSS
+  /// version index, exclusive roots, TrustIndex, CSV exports).  It covers
+  /// every certificate of the database; see docs/INTERNING.md.
+  const std::shared_ptr<const rs::store::CertInterner>& interner()
+      const noexcept {
+    return interner_;
   }
 
   /// Table 1: top-200 user agents and root-store coverage.

@@ -52,8 +52,16 @@ std::string write_rsts(const std::vector<TrustEntry>& entries) {
   for (const auto& e : entries) {
     const auto& cert = *e.certificate;
     out += "root\n";
-    const auto cn = cert.subject().common_name();
-    if (cn) out += "  label " + std::string(*cn) + "\n";
+    if (const auto cn = cert.subject().common_name()) {
+      // The label is informational and one line: control bytes (a line
+      // break in a CN would end the line early) are written as spaces.
+      std::string label(*cn);
+      for (char& c : label) {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20 || byte == 0x7F) c = ' ';
+      }
+      out += "  label " + label + "\n";
+    }
     out += "  sha256 " + rs::util::hex_encode(cert.sha256()) + "\n";
     out += "  cert " + rs::encoding::base64_encode(cert.der()) + "\n";
     for (TrustPurpose p : rs::store::kAllPurposes) {

@@ -23,10 +23,6 @@
 
 #include "src/store/id_set.h"
 
-namespace rs::exec {
-class ThreadPool;
-}
-
 namespace rs::landscape {
 
 /// One unordered provider pair's overlap, indexed into the caller's
@@ -73,11 +69,9 @@ std::vector<rs::store::IdSet> exclusive_sets(
     const std::vector<const rs::store::IdSet*>& candidates,
     const std::vector<const rs::store::IdSet*>& held);
 
-/// Full agreement summary over one presence vector.  `pool` parallelizes
-/// the pairwise popcounts; results are identical for any worker count
-/// (integer cardinalities, disjoint writes, fixed pair order).
+/// Full agreement summary over one presence vector; pairs in row-major
+/// upper-triangle order.
 AgreementSummary agreement_summary(
-    const std::vector<const rs::store::IdSet*>& sets,
-    rs::exec::ThreadPool* pool = nullptr);
+    const std::vector<const rs::store::IdSet*>& sets);
 
 }  // namespace rs::landscape

@@ -125,4 +125,11 @@ bool operator==(const IdSet& a, const IdSet& b) noexcept {
   return true;
 }
 
+double jaccard_distance(const IdSet& a, const IdSet& b) noexcept {
+  const std::size_t inter = a.intersection_size(b);
+  const std::size_t uni = a.size() + b.size() - inter;
+  if (uni == 0) return 0.0;  // both empty: identical
+  return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
+}
+
 }  // namespace rs::store

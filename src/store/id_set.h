@@ -66,4 +66,10 @@ class IdSet {
   std::size_t count_ = 0;
 };
 
+/// Jaccard distance 1 - |a ∩ b| / |a ∪ b| over exact integer
+/// cardinalities (0 when both are empty), so the double equals the
+/// sorted-merge value over the same digest sets bit-for-bit
+/// (tests/analysis/merge_referee.h).
+double jaccard_distance(const IdSet& a, const IdSet& b) noexcept;
+
 }  // namespace rs::store

@@ -1,49 +1,13 @@
 #include "src/store/interner.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/store/database.h"
 
 namespace rs::store {
-
-double jaccard_distance(const InternedSet& a, const InternedSet& b) noexcept {
-  std::size_t inter = a.ids.intersection_size(b.ids);
-  // Unmapped digests can only intersect the other side's unmapped list.
-  if (!a.unmapped.empty() && !b.unmapped.empty()) {
-    auto ai = a.unmapped.begin();
-    auto bi = b.unmapped.begin();
-    while (ai != a.unmapped.end() && bi != b.unmapped.end()) {
-      if (*ai < *bi) {
-        ++ai;
-      } else if (*bi < *ai) {
-        ++bi;
-      } else {
-        ++inter;
-        ++ai;
-        ++bi;
-      }
-    }
-  }
-  const std::size_t uni = a.size() + b.size() - inter;
-  if (uni == 0) return 0.0;  // both empty: identical
-  return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-FingerprintSet set_difference(const InternedSet& a, const InternedSet& b,
-                              const CertInterner& interner) {
-  std::vector<rs::crypto::Sha256Digest> out;
-  const IdSet ids = a.ids.difference(b.ids);
-  out.reserve(ids.size() + a.unmapped.size());
-  for (const std::uint32_t id : ids.ids()) {
-    out.push_back(interner.digest_of(id));
-  }
-  std::set_difference(a.unmapped.begin(), a.unmapped.end(),
-                      b.unmapped.begin(), b.unmapped.end(),
-                      std::back_inserter(out));
-  return FingerprintSet(std::move(out));
-}
 
 CertInterner::CertInterner(std::vector<rs::crypto::Sha256Digest> digests)
     : digests_(std::move(digests)) {
@@ -71,22 +35,6 @@ CertInterner CertInterner::from_database(const StoreDatabase& db) {
   return interner;
 }
 
-CertInterner CertInterner::from_history(const ProviderHistory& history) {
-  rs::obs::Span span("store/intern_build");
-  std::vector<rs::crypto::Sha256Digest> digests;
-  for (const auto& snap : history.snapshots()) {
-    for (const auto& entry : snap.entries) {
-      digests.push_back(entry.certificate->sha256());
-    }
-  }
-  auto interner = CertInterner(std::move(digests));
-  span.set_items(interner.size());
-  rs::obs::Registry::global()
-      .counter("store.certs_interned")
-      .add(interner.size());
-  return interner;
-}
-
 std::optional<std::uint32_t> CertInterner::id_of(
     const rs::crypto::Sha256Digest& fp) const noexcept {
   const auto it = std::lower_bound(digests_.begin(), digests_.end(), fp);
@@ -94,27 +42,20 @@ std::optional<std::uint32_t> CertInterner::id_of(
   return static_cast<std::uint32_t>(it - digests_.begin());
 }
 
-InternedSet CertInterner::intern(const FingerprintSet& fps) const {
-  InternedSet out;
-  out.ids = IdSet(digests_.size());
-  // Both sides are sorted, so one linear co-walk maps everything; the
-  // unmapped remainder stays sorted by construction.
+IdSet CertInterner::intern(const FingerprintSet& fps) const {
+  IdSet out(digests_.size());
+  // Both sides are sorted, so one linear co-walk maps everything.
   auto uit = digests_.begin();
   for (const auto& fp : fps.items()) {
     uit = std::lower_bound(uit, digests_.end(), fp);
-    if (uit != digests_.end() && *uit == fp) {
-      out.ids.insert(static_cast<std::uint32_t>(uit - digests_.begin()));
-    } else {
-      out.unmapped.push_back(fp);
+    if (uit == digests_.end() || *uit != fp) {
+      throw std::out_of_range(
+          "CertInterner::intern: digest outside the interned universe");
     }
+    out.insert(static_cast<std::uint32_t>(uit - digests_.begin()));
   }
   auto& reg = rs::obs::Registry::global();
-  if (reg.enabled()) {
-    // "unmapped" digests fall off the dense-ID fast path and are corrected
-    // by sorted merges — a growing count flags a stale interner universe.
-    reg.counter("store.sets_interned").increment();
-    reg.counter("store.intern_unmapped").add(out.unmapped.size());
-  }
+  if (reg.enabled()) reg.counter("store.sets_interned").increment();
   return out;
 }
 

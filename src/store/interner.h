@@ -24,34 +24,6 @@
 namespace rs::store {
 
 class StoreDatabase;
-class ProviderHistory;
-
-/// A FingerprintSet split into the interned universe and the remainder.
-///
-/// Digests outside the interner's universe cannot be represented as bits;
-/// they are returned sorted in `unmapped` so callers can correct exact
-/// cardinalities (an unmapped element can never intersect an in-universe
-/// set) or classify them directly.
-struct InternedSet {
-  IdSet ids;
-  std::vector<rs::crypto::Sha256Digest> unmapped;  // sorted, unique
-
-  std::size_t size() const noexcept { return ids.size() + unmapped.size(); }
-};
-
-/// Exact Jaccard distance between two interned sets, correcting for
-/// unmapped digests on either side (merged by sorted intersection, so the
-/// value equals the sorted-merge distance over the original
-/// FingerprintSets bit-for-bit; tests/analysis/merge_referee.h).
-double jaccard_distance(const InternedSet& a, const InternedSet& b) noexcept;
-
-class CertInterner;
-
-/// Materialized `a \ b` as sorted digests: bitwise ANDNOT on the mapped
-/// IDs plus a sorted-merge difference of the unmapped remainders.  Equals
-/// FingerprintSet::difference on the original sets.
-FingerprintSet set_difference(const InternedSet& a, const InternedSet& b,
-                              const CertInterner& interner);
 
 /// The dense-ID mapping over a fixed certificate universe.
 class CertInterner {
@@ -63,8 +35,6 @@ class CertInterner {
   /// Universe = every certificate in every snapshot of every history
   /// (all trust purposes), so any set drawn from `db` interns fully.
   static CertInterner from_database(const StoreDatabase& db);
-  /// Universe = every certificate in one provider's history.
-  static CertInterner from_history(const ProviderHistory& history);
 
   std::size_t size() const noexcept { return digests_.size(); }
   bool empty() const noexcept { return digests_.empty(); }
@@ -76,8 +46,10 @@ class CertInterner {
     return digests_[id];
   }
 
-  /// Interns a fingerprint set; out-of-universe digests land in `unmapped`.
-  InternedSet intern(const FingerprintSet& fps) const;
+  /// Interns a fingerprint set.  Every digest must be in the universe:
+  /// an interner covers the whole database it was built from, so a digest
+  /// outside it is a caller bug and throws std::out_of_range.
+  IdSet intern(const FingerprintSet& fps) const;
 
   /// Round-trips an IdSet back to digests (sorted, by the ID order contract).
   FingerprintSet materialize(const IdSet& ids) const;

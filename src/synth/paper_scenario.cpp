@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/crypto/prng.h"
+#include "src/obs/span.h"
 #include "src/synth/paper_reference.h"
 #include "src/synth/user_agents.h"
 
@@ -718,6 +719,7 @@ void add_response_overrides(DerivativePolicy& policy,
 }  // namespace
 
 PaperScenario build_paper_scenario(std::uint64_t seed) {
+  rs::obs::Span span("synth/scenario");
   auto factory = std::make_shared<CertFactory>(seed);
   const auto incidents = incident_catalog();
   const auto inc_specs = incident_root_specs();
@@ -1132,6 +1134,12 @@ PaperScenario build_paper_scenario(std::uint64_t seed) {
   return PaperScenario(std::move(factory), std::move(db), std::move(timelines),
                        std::move(extra_specs), std::move(exclusive_meta),
                        std::move(overlays));
+}
+
+void PaperScenario::replace_database(rs::store::StoreDatabase db) {
+  // Freeing the replaced database is most of the cost.
+  rs::obs::Span span("synth/replace_database");
+  db_ = std::move(db);
 }
 
 }  // namespace rs::synth

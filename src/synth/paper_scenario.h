@@ -59,7 +59,7 @@ class PaperScenario {
   /// write_dataset() directory through the real format decoders, which is
   /// full-fidelity (RSTS), so analyses over the replacement produce the
   /// same bytes.  The caller owns that equivalence claim.
-  void replace_database(rs::store::StoreDatabase db) { db_ = std::move(db); }
+  void replace_database(rs::store::StoreDatabase db);
 
   /// Timelines for the four independent programs ("NSS", "Apple",
   /// "Microsoft", "Java").

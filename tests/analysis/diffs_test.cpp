@@ -38,6 +38,16 @@ Snapshot snap(const std::string& provider, Date date,
   return s;
 }
 
+/// An interner over every certificate these tests draw, as EcosystemStudy's
+/// database-wide interner covers NSS and every derivative together.
+std::shared_ptr<const rs::store::CertInterner> universe() {
+  std::vector<rs::crypto::Sha256Digest> digests;
+  for (std::uint64_t id : {1, 2, 3, 9, 77, 88, 89}) {
+    digests.push_back(make_cert(id)->sha256());
+  }
+  return std::make_shared<const rs::store::CertInterner>(std::move(digests));
+}
+
 /// NSS: v1 {1,2 tls; 9 email-only}, v2 {1 tls (2 removed), 9 email}, where
 /// root 1 gains a partial-distrust cutoff in v2.
 ProviderHistory make_nss() {
@@ -52,7 +62,7 @@ ProviderHistory make_nss() {
 
 TEST(Diffs, CleanCopyHasNoDeviation) {
   const auto nss = make_nss();
-  const auto index = build_version_index(nss);
+  const auto index = build_version_index(nss, universe());
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(2)}));
   const auto series = derivative_diffs(d, nss, index);
@@ -64,7 +74,7 @@ TEST(Diffs, CleanCopyHasNoDeviation) {
 
 TEST(Diffs, NonNssRootCategorized) {
   const auto nss = make_nss();
-  const auto index = build_version_index(nss);
+  const auto index = build_version_index(nss, universe());
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(2), tls(77)}));
   const auto series = derivative_diffs(d, nss, index);
@@ -77,7 +87,7 @@ TEST(Diffs, NonNssRootCategorized) {
 
 TEST(Diffs, EmailOnlyRootCategorized) {
   const auto nss = make_nss();
-  const auto index = build_version_index(nss);
+  const auto index = build_version_index(nss, universe());
   ProviderHistory d("D");
   // Derivative TLS-trusts NSS's email-only root 9 (conflation).
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(2), tls(9)}));
@@ -89,7 +99,7 @@ TEST(Diffs, EmailOnlyRootCategorized) {
 
 TEST(Diffs, ReAddedRootCategorized) {
   const auto nss = make_nss();
-  const auto index = build_version_index(nss);
+  const auto index = build_version_index(nss, universe());
   ProviderHistory d("D");
   // Root 2 was dropped by NSS v2; the derivative matching v2 still ships it.
   d.add(snap("D", Date::ymd(2020, 8, 1), {tls(1), tls(2), tls(88), tls(89)}));
@@ -116,7 +126,7 @@ TEST(Diffs, ReAddedRootCategorized) {
 
 TEST(Diffs, PartialDistrustFalloutOnRemoval) {
   const auto nss = make_nss();
-  const auto index = build_version_index(nss);
+  const auto index = build_version_index(nss, universe());
   ProviderHistory d("D");
   // Derivative matching v2 but *without* the partially-distrusted root 1:
   // classic Debian-style premature removal.  Add roots 2.. so v2 is closer?
@@ -130,7 +140,7 @@ TEST(Diffs, PartialDistrustFalloutOnRemoval) {
   partial.trust_for(TrustPurpose::kServerAuth).distrust_after =
       Date::ymd(2020, 6, 1);
   nss2.add(snap("NSS", Date::ymd(2020, 7, 1), {partial, tls(2), tls(3)}));
-  const auto index2 = build_version_index(nss2);
+  const auto index2 = build_version_index(nss2, universe());
   ProviderHistory d2("D");
   // Matches v2 {1,2,3} (distance 1/3) better than v1 {1,2} (distance 1/2)?
   // derivative {2,3}: d(v2) = 1 - 2/3 = 0.33, d(v1) = 1 - 1/3 = 0.67 -> v2.
@@ -153,7 +163,7 @@ TEST(Diffs, CustomRemovalCategorized) {
   ProviderHistory nss("NSS");
   nss.add(snap("NSS", Date::ymd(2020, 1, 1), {tls(1), tls(2), tls(3)}));
   nss.add(snap("NSS", Date::ymd(2020, 7, 1), {tls(1)}));
-  const auto index = build_version_index(nss);
+  const auto index = build_version_index(nss, universe());
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(3)}));
   const auto series = derivative_diffs(d, nss, index);

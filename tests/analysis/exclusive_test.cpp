@@ -8,6 +8,7 @@
 namespace rs::analysis {
 namespace {
 
+using rs::store::CertInterner;
 using rs::store::ProviderHistory;
 using rs::store::Snapshot;
 using rs::store::StoreDatabase;
@@ -47,7 +48,8 @@ TEST(Exclusive, BasicExclusivity) {
   b.add(snap("B", Date::ymd(2020, 1, 1), {1, 3}));
   db.add(std::move(b));
 
-  const auto result = exclusive_roots(db, {"A", "B"});
+  const auto result =
+      exclusive_roots(db, {"A", "B"}, CertInterner::from_database(db));
   ASSERT_EQ(result.size(), 2u);
   EXPECT_EQ(result[0].program, "A");
   EXPECT_EQ(result[0].roots.size(), 1u);  // root 2
@@ -65,7 +67,8 @@ TEST(Exclusive, HistoricalTrustElsewhereKillsExclusivity) {
   b.add(snap("B", Date::ymd(2020, 1, 1), {2}));
   db.add(std::move(b));
 
-  const auto result = exclusive_roots(db, {"A", "B"});
+  const auto result =
+      exclusive_roots(db, {"A", "B"}, CertInterner::from_database(db));
   EXPECT_TRUE(result[0].roots.empty());     // A's root 1 was ever-B
   EXPECT_EQ(result[1].roots.size(), 1u);    // B's root 2 is exclusive
 }
@@ -79,7 +82,8 @@ TEST(Exclusive, EmailTrustElsewhereDoesNotKillTlsExclusivity) {
   b.add(snap("B", Date::ymd(2020, 1, 1), {}, {1}));  // email trust only
   db.add(std::move(b));
 
-  const auto result = exclusive_roots(db, {"A", "B"});
+  const auto result =
+      exclusive_roots(db, {"A", "B"}, CertInterner::from_database(db));
   EXPECT_EQ(result[0].roots.size(), 1u);
 }
 
@@ -93,7 +97,8 @@ TEST(Exclusive, OnlyLatestSnapshotCounts) {
   b.add(snap("B", Date::ymd(2020, 1, 1), {1}));
   db.add(std::move(b));
 
-  const auto result = exclusive_roots(db, {"A", "B"});
+  const auto result =
+      exclusive_roots(db, {"A", "B"}, CertInterner::from_database(db));
   // Root 5 would be exclusive, but it is gone from the latest snapshot.
   EXPECT_TRUE(result[0].roots.empty());
 }
@@ -103,7 +108,8 @@ TEST(Exclusive, MissingProvidersSkipped) {
   ProviderHistory a("A");
   a.add(snap("A", Date::ymd(2020, 1, 1), {1}));
   db.add(std::move(a));
-  const auto result = exclusive_roots(db, {"A", "Ghost"});
+  const auto result =
+      exclusive_roots(db, {"A", "Ghost"}, CertInterner::from_database(db));
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].program, "A");
 }

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/export.h"
 #include "src/core/study.h"
 #include "src/formats/dataset_io.h"
 #include "src/obs/clock.h"
@@ -24,9 +25,10 @@
 
 namespace {
 
-std::string read_golden(const std::string& name) {
+std::string read_golden(const std::string& name,
+                        const std::string& extension = ".txt") {
   const std::string path =
-      std::string(ROOTSTORE_GOLDEN_DIR) + "/report_" + name + ".txt";
+      std::string(ROOTSTORE_GOLDEN_DIR) + "/report_" + name + extension;
   std::ifstream f(path, std::ios::binary);
   EXPECT_TRUE(f.good()) << "missing golden file " << path
                         << " (regenerate with tools/update_goldens.sh)";
@@ -73,6 +75,32 @@ void expect_all_match_goldens(std::size_t threads) {
 TEST(GoldenReport, SerialMatchesGoldens) { expect_all_match_goldens(0); }
 
 TEST(GoldenReport, ThreadedMatchesGoldens) { expect_all_match_goldens(3); }
+
+// The `rootstore report <name> --csv` exports, which run on the study's
+// interner and pool, pinned byte-for-byte like the reports.
+void expect_csv_match_goldens(std::size_t threads) {
+  rs::core::StudyOptions options;
+  options.num_threads = threads;
+  const auto study = rs::core::EcosystemStudy::from_paper_scenario(
+      rs::synth::kPaperSeed, options);
+  const std::pair<std::string, std::string> exports[] = {
+      {"fig1", rs::core::figure1_csv(study)},
+      {"fig3", rs::core::figure3_csv(study)},
+      {"fig4", rs::core::figure4_csv(study)},
+      {"churn", rs::core::churn_csv(study)},
+  };
+  for (const auto& [name, actual] : exports) {
+    const std::string golden = read_golden(name, ".csv");
+    ASSERT_FALSE(golden.empty()) << name;
+    EXPECT_EQ(actual, golden)
+        << "CSV export '" << name << "' deviates from tests/golden/report_"
+        << name << ".csv at --threads " << threads;
+  }
+}
+
+TEST(GoldenReport, SerialCsvMatchesGoldens) { expect_csv_match_goldens(0); }
+
+TEST(GoldenReport, ThreadedCsvMatchesGoldens) { expect_csv_match_goldens(3); }
 
 // Enabling the observability layer must not change a single report byte:
 // instrumentation reads the pipeline, never feeds it.

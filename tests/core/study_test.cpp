@@ -28,7 +28,8 @@ EcosystemStudy* StudyTest::study_ = nullptr;
 
 TEST_F(StudyTest, Table6CountsMatchPaperExactly) {
   const auto measured = rs::analysis::exclusive_roots(
-      study_->database(), {"NSS", "Java", "Apple", "Microsoft"});
+      study_->database(), {"NSS", "Java", "Apple", "Microsoft"},
+      *study_->interner());
   std::map<std::string, std::size_t> counts;
   for (const auto& m : measured) counts[m.program] = m.roots.size();
   EXPECT_EQ(counts["NSS"], 1u);
@@ -110,7 +111,7 @@ TEST_F(StudyTest, Table4LagsMatchPaperWhereDefined) {
 
 TEST_F(StudyTest, Figure3OrderingMatchesPaper) {
   const auto index = rs::analysis::build_version_index(
-      *study_->database().find("NSS"));
+      *study_->database().find("NSS"), study_->interner());
   auto behind = [&](const char* p) {
     return rs::analysis::derivative_staleness(*study_->database().find(p),
                                               index)

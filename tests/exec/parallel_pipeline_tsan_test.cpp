@@ -1,14 +1,12 @@
 // Drives the parallel analysis hot paths on a simulated ecosystem so the
 // TSan CI stage (ROOTSTORE_SANITIZE=thread, `ctest -L tsan`) exercises the
-// real Jaccard / SMACOF / staleness / diff concurrency, not just the pool
-// in isolation.  Assertions double as a serial-equivalence smoke check;
-// the exhaustive suite lives in tests/analysis/parallel_equivalence_test.cpp.
+// real Jaccard / SMACOF concurrency, not just the pool in isolation.
+// Assertions double as a serial-equivalence smoke check; the exhaustive
+// suite lives in tests/analysis/parallel_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
-#include "src/analysis/diffs.h"
 #include "src/analysis/jaccard.h"
 #include "src/analysis/mds.h"
-#include "src/analysis/staleness.h"
 #include "src/exec/thread_pool.h"
 #include "src/synth/simulator.h"
 
@@ -44,40 +42,6 @@ TEST(ParallelPipeline, JaccardAndMdsUnderContention) {
   for (std::size_t i = 0; i < mds_serial.points.size(); ++i) {
     EXPECT_EQ(mds_parallel.points[i].x, mds_serial.points[i].x);
     EXPECT_EQ(mds_parallel.points[i].y, mds_serial.points[i].y);
-  }
-}
-
-TEST(ParallelPipeline, StalenessAndDiffsUnderContention) {
-  const auto eco = make_ecosystem();
-  const auto* base = eco.database.find(eco.base_program);
-  ASSERT_NE(base, nullptr);
-  const auto index = rs::analysis::build_version_index(*base);
-
-  ThreadPool pool(4);
-  for (const auto& name : eco.derivative_names) {
-    const auto* deriv = eco.database.find(name);
-    ASSERT_NE(deriv, nullptr);
-
-    const auto stale_serial = rs::analysis::derivative_staleness(*deriv, index);
-    const auto stale_parallel =
-        rs::analysis::derivative_staleness(*deriv, index, &pool);
-    EXPECT_EQ(stale_parallel.avg_versions_behind,
-              stale_serial.avg_versions_behind)
-        << name;
-    EXPECT_EQ(stale_parallel.always_stale, stale_serial.always_stale) << name;
-    ASSERT_EQ(stale_parallel.points.size(), stale_serial.points.size()) << name;
-
-    const auto diffs_serial = rs::analysis::derivative_diffs(*deriv, *base,
-                                                             index);
-    const auto diffs_parallel =
-        rs::analysis::derivative_diffs(*deriv, *base, index, &pool);
-    EXPECT_EQ(diffs_parallel.ever_deviates, diffs_serial.ever_deviates) << name;
-    ASSERT_EQ(diffs_parallel.points.size(), diffs_serial.points.size()) << name;
-    for (std::size_t k = 0; k < diffs_serial.points.size(); ++k) {
-      EXPECT_EQ(diffs_parallel.points[k].adds, diffs_serial.points[k].adds);
-      EXPECT_EQ(diffs_parallel.points[k].removes,
-                diffs_serial.points[k].removes);
-    }
   }
 }
 

@@ -234,6 +234,25 @@ TEST(Rsts, BadBase64SkipsEntryKeepsOthers) {
   EXPECT_FALSE(parsed.value().warnings.empty());
 }
 
+TEST(Rsts, ControlBytesInCommonNameStayOnTheLabelLine) {
+  rs::x509::Name n;
+  n.add_common_name("Line One\nLine Two");
+  const auto cert = std::make_shared<const rs::x509::Certificate>(
+      rs::x509::CertificateBuilder().subject(n).key_seed(14).build());
+  const std::string text = write_rsts({rs::store::make_tls_anchor(cert)});
+  EXPECT_NE(text.find("  label Line One Line Two\n"), std::string::npos)
+      << text;
+  auto parsed = parse_rsts(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_TRUE(parsed.value().warnings.empty())
+      << parsed.value().warnings.front();
+  ASSERT_EQ(parsed.value().entries.size(), 1u);
+  EXPECT_EQ(parsed.value().entries[0].certificate->der(), cert->der());
+  // The certificate itself keeps its name byte-for-byte.
+  EXPECT_EQ(parsed.value().entries[0].certificate->subject().common_name(),
+            cert->subject().common_name());
+}
+
 TEST(Rsts, DoubleRoundTripIsStable) {
   const std::string once = write_rsts({rich_entry(12), rich_entry(13)});
   auto parsed = parse_rsts(once);

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "src/exec/thread_pool.h"
 #include "src/landscape/ct_landscape.h"
 #include "src/store/id_set.h"
 #include "src/util/date.h"
@@ -124,33 +123,6 @@ TEST(AgreementSummary, MatchesNaiveRecomputation) {
       EXPECT_EQ(s.pairs[k].intersection, sets[a].intersection_size(sets[b]));
       EXPECT_EQ(s.pairs[k].union_size, sets[a].union_size(sets[b]));
     }
-  }
-}
-
-TEST(AgreementSummary, PooledMatchesSerial) {
-  const std::size_t universe = 512;
-  std::vector<IdSet> sets;
-  for (std::size_t p = 0; p < 12; ++p) {
-    std::vector<std::uint32_t> ids;
-    for (std::uint32_t id = 0; id < universe; ++id) {
-      if ((id * 2654435761u + p * 40503u) % 7 < 3) ids.push_back(id);
-    }
-    sets.push_back(make_set(universe, ids));
-  }
-  const auto v = views(sets);
-  const auto serial = rs::landscape::agreement_summary(v, nullptr);
-  rs::exec::ThreadPool pool(3);
-  const auto pooled = rs::landscape::agreement_summary(v, &pool);
-  EXPECT_EQ(serial.sizes, pooled.sizes);
-  EXPECT_EQ(serial.exclusive_counts, pooled.exclusive_counts);
-  EXPECT_EQ(serial.union_size, pooled.union_size);
-  EXPECT_EQ(serial.intersection_size, pooled.intersection_size);
-  ASSERT_EQ(serial.pairs.size(), pooled.pairs.size());
-  for (std::size_t i = 0; i < serial.pairs.size(); ++i) {
-    EXPECT_EQ(serial.pairs[i].a, pooled.pairs[i].a);
-    EXPECT_EQ(serial.pairs[i].b, pooled.pairs[i].b);
-    EXPECT_EQ(serial.pairs[i].intersection, pooled.pairs[i].intersection);
-    EXPECT_EQ(serial.pairs[i].union_size, pooled.pairs[i].union_size);
   }
 }
 

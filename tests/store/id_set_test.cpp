@@ -111,7 +111,7 @@ TEST(IdSet, InPlaceUnionAccumulates) {
 
 struct SetPair {
   FingerprintSet fps;
-  InternedSet interned;
+  IdSet interned;
 };
 
 // Draws a random digest set from a universe of `alphabet` values (small
@@ -130,9 +130,9 @@ std::vector<Sha256Digest> random_digests(rs::crypto::Prng& prng,
 void expect_equivalent(const SetPair& a, const SetPair& b,
                        const CertInterner& interner, const char* context) {
   SCOPED_TRACE(context);
-  EXPECT_EQ(a.interned.ids.intersection_size(b.interned.ids),
+  EXPECT_EQ(a.interned.intersection_size(b.interned),
             a.fps.intersection_size(b.fps));
-  EXPECT_EQ(a.interned.ids.union_size(b.interned.ids), a.fps.union_size(b.fps));
+  EXPECT_EQ(a.interned.union_size(b.interned), a.fps.union_size(b.fps));
   // Jaccard doubles must match bit-for-bit: same integer cardinalities,
   // same division.
   const double merge_d = rs::referee::jaccard_distance(a.fps, b.fps);
@@ -140,17 +140,12 @@ void expect_equivalent(const SetPair& a, const SetPair& b,
   EXPECT_EQ(merge_d, interned_d);
   // Materialized difference/intersection/union round-trip to identical
   // FingerprintSets.
-  EXPECT_TRUE(interner.materialize(
-                  a.interned.ids.difference(b.interned.ids)) ==
+  EXPECT_TRUE(interner.materialize(a.interned.difference(b.interned)) ==
               a.fps.difference(b.fps));
-  EXPECT_TRUE(interner.materialize(
-                  a.interned.ids.intersection(b.interned.ids)) ==
+  EXPECT_TRUE(interner.materialize(a.interned.intersection(b.interned)) ==
               a.fps.intersection(b.fps));
-  EXPECT_TRUE(interner.materialize(
-                  a.interned.ids.set_union(b.interned.ids)) ==
+  EXPECT_TRUE(interner.materialize(a.interned.set_union(b.interned)) ==
               a.fps.set_union(b.fps));
-  EXPECT_TRUE(set_difference(a.interned, b.interned, interner) ==
-              a.fps.difference(b.fps));
 }
 
 TEST(IdSetProperty, RandomizedEquivalenceWithFingerprintSet) {
@@ -169,16 +164,14 @@ TEST(IdSetProperty, RandomizedEquivalenceWithFingerprintSet) {
     SetPair b{FingerprintSet(raw_b), {}};
     a.interned = interner.intern(a.fps);
     b.interned = interner.intern(b.fps);
-    ASSERT_TRUE(a.interned.unmapped.empty());
-    ASSERT_TRUE(b.interned.unmapped.empty());
 
     expect_equivalent(a, b, interner, "random pair");
     expect_equivalent(a, a, interner, "identical sets");
     expect_equivalent(b, b, interner, "identical sets (b)");
 
     // Round trip: interned -> materialized == original.
-    EXPECT_TRUE(interner.materialize(a.interned.ids) == a.fps);
-    EXPECT_TRUE(interner.materialize(b.interned.ids) == b.fps);
+    EXPECT_TRUE(interner.materialize(a.interned) == a.fps);
+    EXPECT_TRUE(interner.materialize(b.interned) == b.fps);
   }
 }
 
@@ -206,32 +199,6 @@ TEST(IdSetProperty, EdgeCasesEmptyDisjointIdentical) {
   expect_equivalent(empty, empty, interner, "empty vs empty");
   EXPECT_DOUBLE_EQ(jaccard_distance(a.interned, b.interned), 1.0);
   EXPECT_DOUBLE_EQ(jaccard_distance(empty.interned, empty.interned), 0.0);
-}
-
-// Digests outside the interner universe must still produce exact algebra
-// via the unmapped correction.
-TEST(IdSetProperty, UnmappedDigestsCorrectedExactly) {
-  rs::crypto::Prng prng(7);
-  for (int round = 0; round < 40; ++round) {
-    const std::uint64_t alphabet = 1 + prng.uniform(60);
-    const auto raw_a = random_digests(prng, alphabet, prng.uniform(50));
-    const auto raw_b = random_digests(prng, alphabet, prng.uniform(50));
-
-    // Universe deliberately covers only one side, so the other side's
-    // exclusive digests intern as unmapped.
-    const CertInterner interner{std::vector<Sha256Digest>(raw_a)};
-
-    const FingerprintSet fa(raw_a);
-    const FingerprintSet fb(raw_b);
-    const auto ia = interner.intern(fa);
-    const auto ib = interner.intern(fb);
-    ASSERT_TRUE(ia.unmapped.empty());
-
-    EXPECT_EQ(jaccard_distance(ia, ib), rs::referee::jaccard_distance(fa, fb));
-    EXPECT_TRUE(set_difference(ia, ib, interner) == fa.difference(fb));
-    EXPECT_TRUE(set_difference(ib, ia, interner) == fb.difference(fa));
-    EXPECT_EQ(ib.size(), fb.size());
-  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // CertInterner unit tests: the determinism contract (IDs in sorted-digest
-// order, independent of input order), lookup symmetry, interning with
-// unmapped remainders, and database/history universe construction.
+// order, independent of input order), lookup symmetry, the complete-
+// universe contract (interning a digest outside the universe throws), and
+// database universe construction.
 #include "src/store/interner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "src/store/database.h"
@@ -53,29 +55,29 @@ TEST(CertInterner, DeterministicAcrossInputOrder) {
   }
 }
 
-TEST(CertInterner, InternSplitsMappedAndUnmapped) {
+TEST(CertInterner, InternThrowsOnOutOfUniverseDigest) {
   const CertInterner interner{
       {digest_from(1), digest_from(2), digest_from(3)}};
-  const FingerprintSet query(
-      {digest_from(2), digest_from(3), digest_from(4), digest_from(5)});
-  const InternedSet interned = interner.intern(query);
-  EXPECT_EQ(interned.ids.size(), 2u);
-  ASSERT_EQ(interned.unmapped.size(), 2u);
-  EXPECT_EQ(interned.unmapped[0], digest_from(4));
-  EXPECT_EQ(interned.unmapped[1], digest_from(5));
-  EXPECT_EQ(interned.size(), 4u);
-  // Materializing only the mapped bits recovers the in-universe subset.
-  const FingerprintSet mapped = interner.materialize(interned.ids);
-  EXPECT_TRUE(mapped == FingerprintSet({digest_from(2), digest_from(3)}));
+  const FingerprintSet inside({digest_from(2), digest_from(3)});
+  const IdSet interned = interner.intern(inside);
+  EXPECT_EQ(interned.ids(), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_TRUE(interner.materialize(interned) == inside);
+
+  // One digest outside the universe — below, between or above the
+  // in-universe ones — rejects the whole set.
+  for (const std::uint64_t outside : {0, 4, 99}) {
+    const FingerprintSet query(
+        {digest_from(2), digest_from(3), digest_from(outside)});
+    EXPECT_THROW(interner.intern(query), std::out_of_range) << outside;
+  }
 }
 
 TEST(CertInterner, EmptyUniverseAndEmptySet) {
   const CertInterner interner;
   EXPECT_TRUE(interner.empty());
-  const FingerprintSet some({digest_from(9)});
-  const auto interned = interner.intern(some);
-  EXPECT_TRUE(interned.ids.empty());
-  ASSERT_EQ(interned.unmapped.size(), 1u);
+  EXPECT_TRUE(interner.intern(FingerprintSet{}).empty());
+  EXPECT_THROW(interner.intern(FingerprintSet({digest_from(9)})),
+               std::out_of_range);
   EXPECT_TRUE(interner.materialize(IdSet{}).empty());
 }
 
@@ -112,18 +114,18 @@ TEST(CertInterner, FromDatabaseCoversEveryEntry) {
     EXPECT_TRUE(interner.id_of(make_cert(seed)->sha256()).has_value());
   }
 
-  // Interning any snapshot's sets maps fully (no unmapped remainder).
+  // Any snapshot's sets intern fully and round-trip.
   for (const auto& [name, history] : db.histories()) {
     (void)name;
     for (const auto& snap : history.snapshots()) {
-      EXPECT_TRUE(interner.intern(snap.all_fingerprints()).unmapped.empty());
-      EXPECT_TRUE(interner.intern(snap.tls_anchors()).unmapped.empty());
+      const auto all = snap.all_fingerprints();
+      EXPECT_TRUE(interner.materialize(interner.intern(all)) == all);
+      EXPECT_EQ(interner.intern(snap.tls_anchors()).size(),
+                snap.tls_anchors().size());
     }
   }
-
-  const CertInterner nss_only = CertInterner::from_history(*db.find("A"));
-  EXPECT_EQ(nss_only.size(), 2u);
-  EXPECT_FALSE(nss_only.id_of(make_cert(3)->sha256()).has_value());
+  EXPECT_THROW(interner.intern(FingerprintSet({make_cert(4)->sha256()})),
+               std::out_of_range);
 }
 
 TEST(CertInterner, MaterializeRoundTripsSortedOrder) {
@@ -131,9 +133,7 @@ TEST(CertInterner, MaterializeRoundTripsSortedOrder) {
   for (std::uint64_t v = 0; v < 40; ++v) digests.push_back(digest_from(v * 3));
   const CertInterner interner{std::vector<Sha256Digest>(digests)};
   const FingerprintSet original(std::move(digests));
-  const auto interned = interner.intern(original);
-  ASSERT_TRUE(interned.unmapped.empty());
-  EXPECT_TRUE(interner.materialize(interned.ids) == original);
+  EXPECT_TRUE(interner.materialize(interner.intern(original)) == original);
 }
 
 }  // namespace

@@ -18,8 +18,10 @@ class FidelityTest : public ::testing::Test {
   static void SetUpTestSuite() {
     scenario_ = new PaperScenario(build_paper_scenario());
     const auto* nss = scenario_->database().find("NSS");
-    index_ = new rs::analysis::NssVersionIndex(
-        rs::analysis::build_version_index(*nss));
+    index_ = new rs::analysis::NssVersionIndex(rs::analysis::build_version_index(
+        *nss, std::make_shared<const rs::store::CertInterner>(
+                  rs::store::CertInterner::from_database(
+                      scenario_->database()))));
   }
   static void TearDownTestSuite() {
     delete index_;

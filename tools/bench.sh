@@ -12,8 +12,10 @@
 #                           (medians; docs/PERSISTENCE.md)
 #   BENCH_verify.json       chain verdicts and temporal scans (docs/VERIFY.md)
 #   BENCH_landscape.json    agreement matrix, IdSet vs naive (docs/LANDSCAPE.md)
-#   BENCH_serve.json        three loadgen runs, each on a fresh server
-#                           (docs/SERVING.md)
+#   BENCH_serve.json        loadgen runs, each on a fresh server: epoll_4,
+#                           epoll_64, epoll_batch16, and the three
+#                           alternating epoll_4/epoll_64 pair ratios G1
+#                           reads (docs/SERVING.md)
 #
 # Every gate is evaluated and printed, then the driver exits 1 naming each
 # gate that missed; a benchmark absent from its record misses its gate.
@@ -22,14 +24,18 @@
 set -eu
 
 # The gate table.  A measure is `record:benchmark` (google-benchmark real
-# time in BENCH_<record>.json) or `run.phase.field` (a serve loadgen run).
-# With a denominator the gate checks the ratio, with `-` the value itself.
+# time in BENCH_<record>.json), `run.phase.field` (a serve loadgen run) or
+# a bare name (a value this script derived, such as the G1 median).  With
+# a denominator the gate checks the ratio, with `-` the value itself.
 #
 #  cold-start   mmap+validate load of an RSIX file vs rebuilding the index
 #  append-one   absorbing one snapshot vs recomputing over the history
 #  breakpoints  the flip-breakpoint sweep vs a day-by-day scan
 #  agreement    interned IdSet agreement matrix vs FingerprintSet scan
-#  G1           16x the connections over the same 4 loops keeps throughput
+#  G1           16x the connections over the same 4 loops keeps throughput:
+#               the median of three epoll_64/epoll_4 miss-rps ratios, the
+#               runs alternating (one pair read 0.641 in 1 of 19 runs of
+#               this script on a shared 4-CPU host, median 0.89x)
 #  G2           batch envelopes amortize the syscall-bound cached path
 #  G3           the miss tail at 64 connections stays bounded: 50 ms is ~2x
 #               the worst of 32 runs on a shared 4-CPU host (9.0-25.5 ms);
@@ -40,7 +46,7 @@ cold-start  incremental:BM_ColdStartRebuild_median incremental:BM_ColdStartLoadF
 append-one  incremental:BM_FullRecompute_median    incremental:BM_AppendOneSnapshot_median >= 10
 breakpoints verify:BM_FirstRejectedAtLinearScan    verify:BM_FirstRejectedAtBreakpoints    >= 5
 agreement   landscape:BM_AgreementMatrixNaive      landscape:BM_AgreementMatrixIdSet       >= 5
-G1          epoll_64.miss_phase.throughput_rps     epoll_4.miss_phase.throughput_rps       >= 0.7
+G1          g1_median                              -                                       >= 0.7
 G2          epoll_batch16.hit_phase.throughput_rps epoll_4.hit_phase.throughput_rps        >= 2.0
 G3          epoll_64.miss_phase.p999_us            -                                       <= 50000
 '
@@ -85,7 +91,8 @@ run_field() {
 measure() {
   case $1 in
     *:*) bm_time "${1%%:*}" "${1#*:}" ;;
-    *) run=${1%%.*}; rest=${1#*.}; run_field "$run" "${rest%%.*}" "${rest#*.}" ;;
+    *.*) run=${1%%.*}; rest=${1#*.}; run_field "$run" "${rest%%.*}" "${rest#*.}" ;;
+    *) if [ -f "$work/$1" ]; then cat "$work/$1"; fi ;;
   esac
 }
 
@@ -153,7 +160,7 @@ run_bm perf_persist incremental 3 \
 run_bm perf_verify verify 1 \
     'BM_VerifyChainStraight|BM_VerifyChainDeep|BM_VerifyChainCrossSign|BM_EngineVerifyChain|BM_FirstRejectedAtBreakpoints|BM_FirstRejectedAtLinearScan'
 run_bm perf_landscape landscape 1 \
-    'BM_AgreementMatrixIdSet$|BM_AgreementMatrixIdSetPooled|BM_AgreementMatrixNaive'
+    'BM_AgreementMatrixIdSet$|BM_AgreementMatrixNaive'
 
 # 25600 requests per run: shorter runs (~50 ms) let warm-up noise swamp
 # the ratios.  The unrecorded warm-up comes first because the first server
@@ -161,9 +168,26 @@ run_bm perf_landscape landscape 1 \
 # throughput read up to 3x low and its hit throughput up to 1.9x high in 4
 # of them, moving the denominator of both G1 and G2.
 run_serve warmup        4 25600 1  || true
-run_serve epoll_4       4 25600 1  || true
-run_serve epoll_64     64 25600 1  || true
+for pair in "" _2 _3; do
+  run_serve "epoll_4$pair"   4 25600 1 || true
+  run_serve "epoll_64$pair" 64 25600 1 || true
+done
 run_serve epoll_batch16 4 25600 16 || true
+
+# G1 reads the median of the three pairs' ratios; a missing run leaves it
+# missing.
+g1_runs=""
+for pair in "" _2 _3; do
+  r=$(ratio "$(measure "epoll_64$pair.miss_phase.throughput_rps")" \
+            "$(measure "epoll_4$pair.miss_phase.throughput_rps")")
+  printf 'G1 pair epoll_64%s/epoll_4%s miss rps: %s\n' \
+    "$pair" "$pair" "${r:-missing}"
+  g1_runs="$g1_runs ${r:-missing}"
+done
+case $g1_runs in
+  *missing*) ;;
+  *) printf '%s\n' $g1_runs | sort -g | sed -n 2p > "$work/g1_median" ;;
+esac
 
 {
   printf '{\n  "benchmark": "serve_transports",\n  "num_cpus": %s,\n' "$ncpu"
@@ -175,13 +199,14 @@ run_serve epoll_batch16 4 25600 16 || true
       printf 'null,\n'
     fi
   done
-  g1=$(ratio "$(measure epoll_64.miss_phase.throughput_rps)" \
-             "$(measure epoll_4.miss_phase.throughput_rps)")
+  g1=$(measure g1_median)
   p999=$(measure epoll_64.miss_phase.p999_us)
   ceiling=$(printf '%s\n' "$GATES" | awk '$1 == "G3" { print $NF }')
   g2=$(ratio "$(measure epoll_batch16.hit_phase.throughput_rps)" \
              "$(measure epoll_4.hit_phase.throughput_rps)")
   printf '  "epoll64_over_epoll4_miss": %s,\n' "${g1:-null}"
+  printf '  "epoll64_over_epoll4_miss_pairs": [%s],\n' \
+    "$(printf '%s\n' $g1_runs | sed 's/missing/null/' | paste -sd, -)"
   printf '  "epoll64_miss_p999_us": %s,\n' "${p999:-null}"
   printf '  "epoll64_miss_p999_ceiling_us": %s,\n' "$ceiling"
   printf '  "batch16_over_singleton_hit": %s\n}\n' "${g2:-null}"

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Regenerates the golden report outputs under tests/golden/ from the
-# current build.  Run this ONLY when a report's output has intentionally
-# changed, and review the diff before committing — these bytes are the
-# contract that tests/analysis/golden_report_test.cpp pins across thread
-# counts and instrumentation on/off.
+# Regenerates the golden report outputs and --csv exports under
+# tests/golden/ from the current build.  Run this ONLY when a report's
+# output has intentionally changed, and review the diff before committing —
+# these bytes are the contract that tests/analysis/golden_report_test.cpp
+# pins across thread counts and instrumentation on/off.
 #
 # Usage: tools/update_goldens.sh [build-dir]   (default: build)
 set -eu
@@ -25,6 +25,10 @@ for name in table1 table2 table3 table4 table5 table6 table7 \
   # instrumented runs reproduce these bytes exactly.
   "$ROOTSTORE" report "$name" --threads 0 > "tests/golden/report_$name.txt"
   echo "wrote tests/golden/report_$name.txt"
+done
+for name in fig1 fig3 fig4 churn; do
+  "$ROOTSTORE" report "$name" --csv --threads 0 > "tests/golden/report_$name.csv"
+  echo "wrote tests/golden/report_$name.csv"
 done
 
 # Verify request→response corpus (tests/verify/verify_golden_test.cpp).
